@@ -1,5 +1,5 @@
 //! Worker-scaling ablation for the per-socket batch pipeline (PR 4,
-//! reworked for the persistent worker pool + multi-lane hashing in PR 6).
+//! reworked for the persistent worker pool in PR 6).
 //!
 //! Drives pre-generated write-heavy traffic through `FidrSystem` with the
 //! table cache sharded one way per worker, and reports two numbers per
@@ -9,12 +9,14 @@
 //!   second of host wall-clock time, the **median of three repeats**
 //!   (each on a fresh system) with the min/max spread reported alongside.
 //!   Workload generation is excluded (all chunk contents are generated up
-//!   front) so only the write path is timed. With workers > 1 the batch
-//!   pipeline runs on the persistent `fidr-pool` threads and hashing
-//!   takes the multi-lane AVX2 SHA-256 kernel, so this number moves with
-//!   worker count even on a single-CPU host (the lanes are
-//!   instruction-level, not thread-level, parallelism); the printed
-//!   `host_cpus` keeps thread-level expectations legible. This is the
+//!   front) so only the write path is timed. Every worker count hashes
+//!   NIC batches with the same kernel (the host's fastest, printed as
+//!   `hash_kernel=`), so the ratio between worker counts measures
+//!   threading alone: lookup and precompression fanned out over the
+//!   persistent `fidr-pool` threads. The kernel's own effect is the
+//!   1-worker `wall_gbps_1x=` on the summary line, read against a
+//!   snapshot from another kernel; the printed `host_cpus` keeps
+//!   thread-level expectations legible. `wall_speedup_4x` is the
 //!   regression-gated number — see `docs/PERFORMANCE.md` and
 //!   `scripts/check.sh`.
 //! * **modelled GB/s** — the deterministic pipeline projection under
@@ -211,8 +213,11 @@ fn main() {
         );
     }
     println!(
-        "worker-scaling: wall_speedup_4x={:.3} modelled_speedup_4x={:.3} host_cpus={host_cpus}",
+        "worker-scaling: wall_speedup_4x={:.3} modelled_speedup_4x={:.3} host_cpus={host_cpus} \
+         hash_kernel={} wall_gbps_1x={:.4}",
         wall[2] / wall[0],
-        modelled[2] / modelled[0]
+        modelled[2] / modelled[0],
+        fidr::hash::kernel_name(),
+        wall[0]
     );
 }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fidr::cache::{BPlusTree, HwTree, HwTreeConfig, PipelinedTree};
 use fidr::chunk::Pbn;
 use fidr::compress::{compress, decompress, ContentGenerator};
-use fidr::hash::{Fingerprint, Sha256};
+use fidr::hash::{supported_kernels, Fingerprint, Sha256};
 use fidr::tables::Bucket;
 use std::hint::black_box;
 
@@ -17,6 +17,20 @@ fn bench_sha256(c: &mut Criterion) {
     g.bench_function("digest_4k", |b| {
         b.iter(|| Sha256::digest(black_box(&chunk)))
     });
+    g.finish();
+
+    // One row per kernel this host can run, each over a NIC-sized batch.
+    let chunks: Vec<Vec<u8>> = (0..64)
+        .map(|i| ContentGenerator::new(0.5).chunk(i, 4096))
+        .collect();
+    let batch: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
+    let mut g = c.benchmark_group("sha256_kernel");
+    g.throughput(Throughput::Bytes(64 * 4096));
+    for (name, digest_batch) in supported_kernels() {
+        g.bench_function(&format!("{name}_batch_64x4k"), |b| {
+            b.iter(|| digest_batch(black_box(&batch)))
+        });
+    }
     g.finish();
 }
 

@@ -52,8 +52,9 @@ pub struct FidrConfig {
     pub nic_buffer_bytes: u64,
     /// Chunks the NIC accumulates before hashing a batch.
     pub hash_batch: usize,
-    /// Parallel in-NIC SHA cores used per batch (§6.2 instantiates
-    /// several to sustain line rate; functional results are identical).
+    /// Parallel in-NIC SHA cores the time model charges a batch's
+    /// hashing to (§6.2 instantiates several to sustain line rate). The
+    /// software digest is the same batch kernel at any value.
     pub hash_engines: usize,
     /// Table-cache drive mode (software vs HW-Engine; Figure 14 stages).
     pub cache_mode: CacheMode,
@@ -950,14 +951,16 @@ impl FidrSystem {
     /// With [`FidrConfig::workers`] > 1 (and an inert fault plan — armed
     /// faults key off global device-call order, so they force the serial
     /// path) the batch pipeline fans out over the persistent
-    /// [`WorkerPool`] built once at construction: hashing runs the
-    /// multi-lane SHA-256 kernel (`fidr_hash::digest_batch`) when
-    /// `max(hash_engines, workers)` > 1, dedup lookups run shard-owned
-    /// via [`CacheBackend::lookup_batch_parallel`] on the pool, and
-    /// lookup-flagged uniques precompress speculatively on the pool. All
-    /// ledger charges, spans and commits replay on this thread in batch
-    /// order, so every modelled export is byte-identical for any worker
-    /// count.
+    /// [`WorkerPool`] built once at construction: dedup lookups run
+    /// shard-owned via [`CacheBackend::lookup_batch_parallel`] on the
+    /// pool, and lookup-flagged uniques precompress speculatively on the
+    /// pool. Hashing is not part of the fan-out: the NIC digests every
+    /// batch through `fidr_hash::digest_batch` on the fastest SHA-256
+    /// kernel the host has, at any worker count, and
+    /// [`FidrConfig::hash_engines`] only scales the *modelled* hash time.
+    /// All ledger charges, spans and commits replay on this thread in
+    /// batch order, so every modelled export is byte-identical for any
+    /// worker count.
     fn process_batch(&mut self) -> Result<(), FidrError> {
         let cost = self.cfg.cost;
         let traced = self.tracer.is_enabled();
@@ -966,12 +969,9 @@ impl FidrSystem {
         } else {
             1
         };
-        // Step 2: in-NIC hashing (no CPU, no host memory). The modelled
-        // hash time below stays keyed to `hash_engines`; `workers` only
-        // widens the physical fan-out.
-        let batch = self
-            .nic
-            .take_hash_batch_with_engines(self.cfg.hash_batch, self.cfg.hash_engines.max(workers));
+        // Step 2: in-NIC hashing (no CPU, no host memory); the modelled
+        // hash time below is keyed to `hash_engines`.
+        let batch = self.nic.take_hash_batch(self.cfg.hash_batch);
         if batch.is_empty() {
             return Ok(());
         }

@@ -1,20 +1,30 @@
 //! # fidr-hash
 //!
 //! Hashing primitives for the FIDR inline data-reduction system
-//! (MICRO-52 2019): a from-scratch streaming [`Sha256`], a multi-lane
-//! interleaved batch digest ([`digest_batch`], module [`lanes`]) standing
-//! in for the NIC's parallel SHA cores, the 32-byte chunk [`Fingerprint`]
-//! used as the deduplication signature, and the cheap [`fnv1a`] mix used
-//! by non-cryptographic helpers.
+//! (MICRO-52 2019): a from-scratch streaming [`Sha256`], a batch digest
+//! ([`digest_batch`]) standing in for the NIC's parallel SHA cores, the
+//! 32-byte chunk [`Fingerprint`] used as the deduplication signature, and
+//! the cheap [`fnv1a`] mix used by non-cryptographic helpers.
 //!
 //! In the paper, SHA-256 cores run on the FIDR NIC (or on the CIDR baseline's
-//! FPGA). In this reproduction the same digests are computed in software and
-//! the hash *placement* (NIC vs FPGA vs CPU) is captured by the hardware
-//! model in `fidr-hwsim`. When more than one hash engine is configured, the
-//! software stand-in interleaves up to [`lanes::MAX_LANES`] digest streams
-//! through one SIMD compression kernel instead of spawning threads — see
-//! [`lanes`] for the lane layout, lane-count selection and the guarantee
-//! that every path produces digests byte-identical to the scalar core.
+//! FPGA) and cost the host nothing. In this reproduction the same digests
+//! are computed in software and the hash *placement* (NIC vs FPGA vs CPU)
+//! is captured by the hardware model in `fidr-hwsim`, so the stand-in has
+//! to be as cheap as the host allows. Three kernels compute identical
+//! digests, and one dispatch — probed once per process from the CPU's
+//! feature bits, never from a flag or setting — sits under every entry
+//! point of the crate:
+//!
+//! 1. **`sha-ni`**: the x86 SHA extensions, one hardware-speed stream per
+//!    message (module `shani`).
+//! 2. **`avx2x8`**: AVX2 without SHA-NI; batches interleave eight
+//!    messages through one SIMD compression (module `lanes`), single
+//!    messages run the scalar function.
+//! 3. **`scalar`**: the portable FIPS 180-4 reference (module `sha256`).
+//!
+//! [`kernel_name`] says which one this process runs. Each kernel is
+//! tested against the FIPS vectors and against the scalar reference on
+//! its own, not through the dispatcher.
 //!
 //! # Examples
 //!
@@ -34,18 +44,25 @@
 //! assert_eq!(&h.finalize(), fp.as_bytes());
 //! ```
 
-// Unsafe is denied crate-wide; the single exception is the AVX2
-// intrinsics kernel in `lanes`, which carries a targeted allow and
-// documents its safety contract (runtime feature detection).
+// Unsafe is denied crate-wide. The two exceptions are the intrinsics
+// kernels, `shani` and `lanes::avx2`: each carries a targeted allow, is
+// reachable only through a token its runtime CPU-feature probe hands
+// out, and states that contract in a SAFETY comment at the call.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fingerprint;
 mod fnv;
-pub mod lanes;
+mod kernel;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 pub use fingerprint::{Fingerprint, FINGERPRINT_LEN};
 pub use fnv::{fnv1a, fnv1a_u64, splitmix64};
-pub use lanes::{digest_batch, lane_count};
+pub use kernel::{digest_batch, kernel_name};
+#[doc(hidden)]
+pub use kernel::{supported_kernels, KernelDigestBatch};
 pub use sha256::Sha256;

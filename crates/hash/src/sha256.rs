@@ -3,8 +3,11 @@
 //! FIDR offloads chunk hashing to the NIC using "instances of an open-source
 //! SHA-256 core" (paper §6.2). This module is the software stand-in for those
 //! cores: a streaming SHA-256 implementation used by every hash engine model
-//! in the workspace. It is validated against the FIPS 180-4 test vectors in
-//! the unit tests below.
+//! in the workspace, plus the portable scalar compression function. Which
+//! compression kernel a hasher runs is [`crate::kernel`]'s decision; each
+//! one is validated against the FIPS 180-4 test vectors there.
+
+use crate::kernel::Kernel;
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first eight primes (FIPS 180-4 §5.3.3).
@@ -105,9 +108,11 @@ pub(crate) const K: [u32; 64] = [
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
+    /// Compression kernel every block of this message runs through.
+    kernel: Kernel,
     state: [u32; 8],
     /// Partial block buffer; `buf_len` bytes are valid.
-    buf: [u8; 64],
+    buf: [u8; BLOCK],
     buf_len: usize,
     /// Total message length in bytes processed so far.
     total_len: u64,
@@ -120,13 +125,27 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher in the initial state.
+    /// Creates a hasher in the initial state, on the fastest kernel the
+    /// host supports (see [`crate::kernel_name`]).
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::active())
+    }
+
+    /// A hasher pinned to `kernel` rather than the dispatcher's choice.
+    pub(crate) fn with_kernel(kernel: Kernel) -> Self {
+        Self::resume(kernel, H0, 0)
+    }
+
+    /// A hasher on `kernel` that carries on from `state`, the result of
+    /// compressing the first `absorbed` bytes (whole blocks) of a message.
+    pub(crate) fn resume(kernel: Kernel, state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % BLOCK as u64, 0);
         Sha256 {
-            state: H0,
-            buf: [0u8; 64],
+            kernel,
+            state,
+            buf: [0u8; BLOCK],
             buf_len: 0,
-            total_len: 0,
+            total_len: absorbed,
         }
     }
 
@@ -137,51 +156,29 @@ impl Sha256 {
 
         // Fill a partially-buffered block first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(input.len());
+            let take = (BLOCK - self.buf_len).min(input.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK {
+                return;
             }
+            self.kernel.compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
-
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        // Whole blocks straight from the input, in one kernel call.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % BLOCK);
+        self.kernel.compress(&mut self.state, blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.raw_update(&[0x80]);
-        while self.buf_len != 56 {
-            self.raw_update(&[0x00]);
-        }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        let (tail, len) = padded_tail(&self.buf[..self.buf_len], self.total_len);
+        self.kernel.compress(&mut self.state, &tail[..len]);
+        digest_bytes(&self.state)
     }
 
     /// One-shot convenience for hashing a full message.
@@ -193,157 +190,90 @@ impl Sha256 {
     /// assert_eq!(d[0], 0xe3);
     /// ```
     pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
-    }
-
-    /// `update` without touching `total_len` (used for padding).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-    }
-
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+        Kernel::active().digest(data)
     }
 }
 
-/// The scalar SHA-256 compression function over one 512-bit block,
-/// shared with the multi-lane batch digest in [`crate::lanes`] (whose
-/// odd-length tails finish through this exact function, which is how the
-/// byte-identity guarantee holds by construction).
-pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    for t in 16..64 {
-        let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
-        let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
-        w[t] = w[t - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[t - 7])
-            .wrapping_add(s1);
-    }
+/// Bytes in one SHA-256 message block.
+pub(crate) const BLOCK: usize = 64;
 
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-
-    for t in 0..64 {
-        let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(big_s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[t])
-            .wrapping_add(w[t]);
-        let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = big_s0.wrapping_add(maj);
-
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+/// The padded end of a `total_len`-byte message whose bytes past the
+/// last whole block are `rem`: `rem`, the `0x80` marker, zero fill and
+/// the big-endian bit length, as one or two blocks. Returns the buffer
+/// and how many of its bytes (64 or 128) are in use.
+pub(crate) fn padded_tail(rem: &[u8], total_len: u64) -> ([u8; 2 * BLOCK], usize) {
+    debug_assert!(rem.len() < BLOCK);
+    let mut tail = [0u8; 2 * BLOCK];
+    tail[..rem.len()].copy_from_slice(rem);
+    tail[rem.len()] = 0x80;
+    // The marker and the 8-byte length need 9 bytes after `rem`.
+    let len = if rem.len() + 9 <= BLOCK {
+        BLOCK
+    } else {
+        2 * BLOCK
+    };
+    tail[len - 8..len].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (tail, len)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn hex(d: &[u8]) -> String {
-        d.iter().map(|b| format!("{b:02x}")).collect()
+/// Serializes final state words into the 32-byte digest.
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
+    out
+}
 
-    #[test]
-    fn fips_vector_empty() {
-        assert_eq!(
-            hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn fips_vector_abc() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn fips_vector_448_bits() {
-        assert_eq!(
-            hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn fips_vector_896_bits() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex(&Sha256::digest(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
-    }
-
-    #[test]
-    fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+/// The portable scalar SHA-256 compression function over whole 512-bit
+/// blocks: the reference every other kernel is tested against, and what
+/// runs where the host offers neither SHA-NI nor AVX2.
+///
+/// # Panics
+///
+/// Panics if `blocks` is not a whole number of 64-byte blocks.
+pub(crate) fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % BLOCK, 0, "whole 64-byte blocks only");
+    for block in blocks.chunks_exact(BLOCK) {
+        let mut w = [0u32; 64];
+        for (wt, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wt = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn streaming_matches_oneshot_at_all_split_points() {
-        let data: Vec<u8> = (0u32..300).map(|i| (i * 7 % 251) as u8).collect();
-        let oneshot = Sha256::digest(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), oneshot, "split at {split}");
+        for t in 16..64 {
+            let s0 = w[t - 15].rotate_right(7) ^ w[t - 15].rotate_right(18) ^ (w[t - 15] >> 3);
+            let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
+            w[t] = w[t - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[t - 7])
+                .wrapping_add(s1);
         }
-    }
 
-    #[test]
-    fn distinct_inputs_distinct_digests() {
-        let a = Sha256::digest(&[0u8; 4096]);
-        let mut buf = [0u8; 4096];
-        buf[4095] = 1;
-        let b = Sha256::digest(&buf);
-        assert_ne!(a, b);
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+        for t in 0..64 {
+            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(big_s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[t])
+                .wrapping_add(w[t]);
+            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = big_s0.wrapping_add(maj);
+
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }

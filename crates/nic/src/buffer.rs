@@ -84,7 +84,7 @@ pub struct FidrNic {
     faults: Option<FaultInjector>,
     /// Wall-clock time to buffer one incoming write.
     ingest_ns: Histogram,
-    /// Wall-clock time for each SHA batch (all engines included).
+    /// Wall-clock time for each SHA batch.
     batch_ns: Histogram,
     /// Chunks per SHA batch.
     batch_chunks: Histogram,
@@ -181,30 +181,12 @@ impl FidrNic {
     }
 
     /// Runs up to `max` pending chunks through the in-NIC SHA-256 cores
-    /// (§5.3 step 2). Chunks remain buffered and read-visible.
+    /// (§5.3 step 2) as one batch, whatever the host's worker or engine
+    /// count: `Fingerprint::of_batch` is the software stand-in for the
+    /// NIC's parallel cores (§6.2), and how many cores the *model*
+    /// charges for is `fidr-core`'s business. Chunks remain buffered and
+    /// read-visible.
     pub fn take_hash_batch(&mut self, max: usize) -> Vec<HashedChunk> {
-        self.take_hash_batch_with_engines(max, 1)
-    }
-
-    /// Like [`take_hash_batch`](FidrNic::take_hash_batch) but models
-    /// `engines` parallel SHA cores — the prototype NIC instantiates
-    /// multiple hash cores to sustain line rate (§6.2). With more than
-    /// one engine the chunks digest through the multi-lane interleaved
-    /// SHA-256 kernel (`fidr_hash::digest_batch`): one call retires up
-    /// to `fidr_hash::lanes::MAX_LANES` streams per compression round,
-    /// which is how a software stand-in for N hash cores gets faster
-    /// even on a host with fewer CPUs than engines. (Earlier revisions
-    /// spawned a scoped thread per engine here; on hosts without spare
-    /// CPUs that *lost* wall-clock time to spawn overhead.) The result
-    /// is byte-identical to the single-engine path; only wall-clock
-    /// changes. `engines` does not change lane width — it scales the
-    /// *modelled* hash time in `fidr-hwsim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is zero.
-    pub fn take_hash_batch_with_engines(&mut self, max: usize, engines: usize) -> Vec<HashedChunk> {
-        assert!(engines > 0, "need at least one hash engine");
         let started = Instant::now();
         let n = max.min(self.pending_live);
         let mut staged: Vec<(Lba, Bytes)> = Vec::with_capacity(n);
@@ -221,39 +203,24 @@ impl FidrNic {
             self.pending_live -= 1;
             staged.push((lba, entry.data.clone()));
         }
+        if staged.is_empty() {
+            return Vec::new();
+        }
         self.stats.chunks_hashed += staged.len() as u64;
-        if !staged.is_empty() {
-            self.batch_chunks.record(staged.len() as u64);
-        }
+        self.batch_chunks.record(staged.len() as u64);
 
-        let hashed: Vec<HashedChunk> = if engines == 1 || staged.len() < 2 {
-            staged
-                .into_iter()
-                .map(|(lba, data)| {
-                    let fingerprint = Fingerprint::of(&data);
-                    HashedChunk {
-                        lba,
-                        data,
-                        fingerprint,
-                    }
-                })
-                .collect()
-        } else {
-            let refs: Vec<&[u8]> = staged.iter().map(|(_, data)| data.as_ref()).collect();
-            let fingerprints = Fingerprint::of_batch(&refs);
-            staged
-                .into_iter()
-                .zip(fingerprints)
-                .map(|((lba, data), fingerprint)| HashedChunk {
-                    lba,
-                    data,
-                    fingerprint,
-                })
-                .collect()
-        };
-        if !hashed.is_empty() {
-            self.batch_ns.record_duration(started.elapsed());
-        }
+        let refs: Vec<&[u8]> = staged.iter().map(|(_, data)| data.as_ref()).collect();
+        let fingerprints = Fingerprint::of_batch(&refs);
+        let hashed = staged
+            .into_iter()
+            .zip(fingerprints)
+            .map(|((lba, data), fingerprint)| HashedChunk {
+                lba,
+                data,
+                fingerprint,
+            })
+            .collect();
+        self.batch_ns.record_duration(started.elapsed());
         hashed
     }
 
@@ -416,24 +383,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engines_match_sequential() {
-        let mut seq = FidrNic::new(1 << 22);
-        let mut par = FidrNic::new(1 << 22);
-        for i in 0..33u64 {
-            let data = Bytes::from(vec![(i % 251) as u8; 4096]);
-            seq.accept_write(Lba(i), data.clone());
-            par.accept_write(Lba(i), data);
+    fn batch_fingerprints_equal_per_chunk_fingerprints() {
+        // Around the lane kernel's width and the 64-chunk NIC batch.
+        for size in [1u64, 7, 8, 9, 64, 65] {
+            let mut nic = FidrNic::new(1 << 22);
+            let payload = |lba: u64| Bytes::from(vec![(lba * 7 % 251) as u8; 4096]);
+            // LBA 0 is overwritten before the batch is taken: its first
+            // queue entry goes stale and must neither hash nor shift a
+            // fingerprint onto a neighbouring chunk.
+            nic.accept_write(Lba(0), chunk(0xEE));
+            for lba in 1..size {
+                nic.accept_write(Lba(lba), payload(lba));
+            }
+            nic.accept_write(Lba(0), payload(0));
+            let batch = nic.take_hash_batch(usize::MAX);
+            assert_eq!(batch.len() as u64, size, "stale entry must not hash");
+            for (i, hashed) in batch.iter().enumerate() {
+                // The overwrite re-queued LBA 0 behind LBAs 1..size.
+                let lba = (i as u64 + 1) % size;
+                assert_eq!(hashed.lba, Lba(lba), "batch of {size}");
+                assert_eq!(hashed.data, payload(lba), "batch of {size}");
+                assert_eq!(
+                    hashed.fingerprint,
+                    Fingerprint::of(&hashed.data),
+                    "batch of {size}, chunk {i}"
+                );
+            }
+            assert_eq!(nic.stats().chunks_hashed, size);
         }
-        let a = seq.take_hash_batch(33);
-        let b = par.take_hash_batch_with_engines(33, 4);
-        assert_eq!(a, b, "parallel hashing must be byte-identical in order");
-        assert_eq!(par.stats().chunks_hashed, 33);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one hash engine")]
-    fn zero_engines_panics() {
-        FidrNic::new(1024).take_hash_batch_with_engines(1, 0);
     }
 
     #[test]

@@ -105,13 +105,16 @@ for line in open(f"{tmp}/worker-scaling.txt"):
             }
         )
     m = re.match(
-        r"worker-scaling: wall_speedup_4x=([0-9.]+) modelled_speedup_4x=([0-9.]+) host_cpus=(\d+)",
+        r"worker-scaling: wall_speedup_4x=([0-9.]+) modelled_speedup_4x=([0-9.]+) host_cpus=(\d+) "
+        r"hash_kernel=(\S+)",
         line,
     )
     if m:
         scaling["wall_speedup_4x"] = float(m.group(1))
         scaling["modelled_speedup_4x"] = float(m.group(2))
         scaling["host_cpus"] = int(m.group(3))
+        # Wall numbers only compare between snapshots with the same kernel.
+        scaling["hash_kernel"] = m.group(4)
 doc["worker_scaling"] = scaling
 
 # Tiered-cache ablation: everything here is modelled (deterministic per

@@ -7,6 +7,7 @@ use bytes::Bytes;
 use fidr::baseline::{BaselineConfig, BaselineSystem};
 use fidr::chunk::Lba;
 use fidr::core::{CacheMode, FidrConfig, FidrSystem};
+use fidr::hash::Fingerprint;
 use fidr::trace::chrome_trace_json;
 use fidr::workload::{Request, Workload, WorkloadSpec};
 use fidr::{run_workload, RunConfig, SystemVariant};
@@ -127,6 +128,37 @@ fn fidr_software_cache_variant_is_also_correct() {
 #[test]
 fn worker_count_never_changes_metrics_or_spans_exports() {
     let spec = WorkloadSpec::write_h(OPS);
+    // Every run below hashes with the one kernel this host dispatches
+    // to, so comparing runs cannot see a kernel that computes a wrong
+    // digest. The exports are a function of the chunk fingerprints; pin
+    // those to the portable scalar kernel over this very workload.
+    let chunks: Vec<Bytes> = Workload::new(spec.clone())
+        .filter_map(|req| match req {
+            Request::Write { data, .. } => Some(data),
+            Request::Read { .. } => None,
+        })
+        .collect();
+    let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_ref()).collect();
+    let scalar = fidr::hash::supported_kernels()
+        .into_iter()
+        .find_map(|(name, digest_batch)| (name == "scalar").then_some(digest_batch))
+        .expect("the scalar kernel runs everywhere");
+    let want: Vec<Fingerprint> = scalar(&refs)
+        .into_iter()
+        .map(Fingerprint::from_bytes)
+        .collect();
+    let kernel = fidr::hash::kernel_name();
+    for (batch, want) in refs.chunks(64).zip(want.chunks(64)) {
+        assert_eq!(
+            Fingerprint::of_batch(batch),
+            want,
+            "{kernel}: NIC-sized batch"
+        );
+        for (chunk, want) in batch.iter().zip(want) {
+            assert_eq!(Fingerprint::of(chunk), *want, "{kernel}: single chunk");
+        }
+    }
+
     for variant in [
         SystemVariant::FidrFull,
         SystemVariant::FidrNicP2p,
