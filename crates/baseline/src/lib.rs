@@ -7,7 +7,9 @@
 //! Figure 2 functionally (real hashes, real compression, real tables) while
 //! charging every byte and cycle to the `fidr-hwsim` ledger, so that the
 //! paper's bottleneck analysis (Figures 4–5, Tables 1–2) can be reproduced
-//! by measurement rather than assumption.
+//! by measurement rather than assumption. What it stores, and the
+//! delete/GC/checkpoint/scrub lifecycle on it, is `fidr_store::ChunkStore`
+//! — shared with FIDR, so the two servers differ only in their data paths.
 //!
 //! # Examples
 //!

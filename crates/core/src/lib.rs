@@ -14,7 +14,8 @@
 //!
 //! [`FidrSystem`] implements the full Figure 6 write/read flows over the
 //! workspace substrates, charging every movement to the `fidr-hwsim`
-//! ledger. [`CacheMode`] selects the Figure 14 ablation stages, and
+//! ledger. What it stores, and the delete/GC/checkpoint/scrub lifecycle
+//! on it, is `fidr_store::ChunkStore` — shared with the baseline. [`CacheMode`] selects the Figure 14 ablation stages, and
 //! [`LatencyModel`] reproduces the §7.6 latency comparison.
 //!
 //! # Examples

@@ -53,6 +53,21 @@ cargo run --release -q --bin fidr -- run \
 diff "$DET_DIR/w1.json" "$DET_DIR/w4-a.json"
 echo "    exports byte-identical"
 
+# The same contract for the baseline engine, whose batched-write path
+# precomputes hashes and compression on the pool: metrics AND spans must
+# not depend on the worker count. (Both engines sit on one ChunkStore;
+# this is the gate for the engine that had none.)
+echo "==> baseline determinism (workers 1 vs 4, metrics + spans)"
+for w in 1 4; do
+  cargo run --release -q --bin fidr -- run \
+    --workload write-h --variant baseline --ops 2000 --workers "$w" --cache-shards 4 \
+    --metrics-out "$DET_DIR/base-m$w.json" \
+    --spans-out "$DET_DIR/base-s$w.json" > /dev/null
+done
+diff "$DET_DIR/base-m1.json" "$DET_DIR/base-m4.json"
+diff "$DET_DIR/base-s1.json" "$DET_DIR/base-s4.json"
+echo "    baseline exports byte-identical"
+
 # Tiered-scrubber determinism gate: with --tiered the cold-stream writes
 # defer dedup to the background scrubber, whose table-SSD charges are
 # replayed in group order. Metrics AND spans must still export
@@ -186,6 +201,13 @@ if [ -z "$GC_FREED" ] || [ "$GC_FREED" -eq 0 ]; then
   exit 1
 fi
 echo "    $GC_DELETES deletes acked, $GC_FREED bytes reclaimed, survivors verified"
+# Delete, GC and compaction are seeded and modelled like everything
+# else: a repeat run must export the same bytes.
+cargo run --release -q --bin fidr -- gc \
+  --tenants 4 --blocks 64 --rounds 3 --delete-pct 40 \
+  --metrics-out "$GC_DIR/metrics-repeat.json" > /dev/null
+diff "$GC_DIR/metrics.json" "$GC_DIR/metrics-repeat.json"
+echo "    repeat run byte-identical"
 
 # Live-telemetry smoke test: serve with a fast sampler, drive verified
 # traffic, then scrape the still-running server in-band — JSON,

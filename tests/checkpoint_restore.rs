@@ -3,10 +3,15 @@
 //! of state, and verify the restored server is indistinguishable — every
 //! read, continued dedup against old content, and pending GC state.
 
+#[macro_use]
+mod common;
+
 use bytes::Bytes;
+use common::Engine;
 use fidr::chunk::Lba;
 use fidr::compress::ContentGenerator;
 use fidr::core::{FidrConfig, FidrSystem, Snapshot};
+use fidr::faults::FaultPlan;
 use fidr::workload::{Request, Workload, WorkloadSpec};
 use std::collections::HashMap;
 
@@ -69,10 +74,9 @@ fn restored_server_dedups_against_old_content() {
     assert_eq!(restored.stats().unique_chunks, 1);
 }
 
-#[test]
-fn gc_state_survives_restart() {
+fn gc_state_survives_restart<E: Engine>() {
     let gen = ContentGenerator::new(0.5);
-    let mut sys = FidrSystem::new(cfg());
+    let mut sys = E::new(FaultPlan::default());
     for i in 0..64u64 {
         sys.write(Lba(i), Bytes::from(gen.chunk(i, 4096))).unwrap();
     }
@@ -86,7 +90,7 @@ fn gc_state_survives_restart() {
     let snapshot = sys.checkpoint().unwrap();
     assert_eq!(sys.pending_dead_chunks(), 48);
 
-    let mut restored = FidrSystem::restore(cfg(), snapshot);
+    let mut restored = E::restore(FaultPlan::default(), snapshot);
     assert_eq!(restored.pending_dead_chunks(), 48);
     let report = restored.collect_garbage(0.5).unwrap();
     assert_eq!(report.reclaimed_pbns, 48);
@@ -101,6 +105,47 @@ fn gc_state_survives_restart() {
         assert_eq!(restored.read(Lba(i)).unwrap(), want, "LBA {i}");
     }
 }
+
+/// Churned state with every checkpoint section populated: live and dead
+/// chunks, several sealed containers, a pending dead list.
+fn churned<E: Engine>() -> E {
+    let gen = ContentGenerator::new(0.5);
+    let mut sys = E::new(FaultPlan::default());
+    for i in 0..96u64 {
+        sys.write(Lba(i), Bytes::from(gen.chunk(i % 80, 4096)))
+            .unwrap();
+    }
+    for i in 0..40u64 {
+        sys.write(Lba(i), Bytes::from(gen.chunk(500 + i, 4096)))
+            .unwrap();
+    }
+    for i in 30..50u64 {
+        sys.delete(Lba(i)).unwrap();
+    }
+    sys
+}
+
+fn checkpoint_image_is_deterministic<E: Engine>() {
+    // Two identically driven stores encode to the same bytes (the maps
+    // behind the snapshot iterate in a per-process random order)...
+    let image = churned::<E>().checkpoint().unwrap().encode();
+    assert_eq!(image, churned::<E>().checkpoint().unwrap().encode());
+    // ...and decode → restore → checkpoint → encode is a fixed point.
+    let snapshot = Snapshot::decode(&image).unwrap();
+    let mut restored = E::restore(FaultPlan::default(), snapshot);
+    assert_eq!(restored.checkpoint().unwrap().encode(), image);
+    // Post-restore compaction lays survivors out the same way every run.
+    let compacted = || {
+        let snapshot = Snapshot::decode(&image).unwrap();
+        let mut sys = E::restore(FaultPlan::default(), snapshot);
+        let report = sys.collect_garbage(0.9).unwrap();
+        assert!(report.moved_chunks > 0, "{report:?}");
+        sys.checkpoint().unwrap().encode()
+    };
+    assert_eq!(compacted(), compacted());
+}
+
+for_both_engines!(gc_state_survives_restart, checkpoint_image_is_deterministic);
 
 #[test]
 fn corrupt_image_is_rejected_not_misread() {

@@ -6,13 +6,17 @@
 //! Every plan here is seeded, so each test is bit-reproducible: a seed
 //! that passes once passes forever.
 
+#[macro_use]
+mod common;
+
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
+use common::Engine;
 use fidr::baseline::{BaselineConfig, BaselineSystem};
 use fidr::chunk::Lba;
 use fidr::compress::ContentGenerator;
-use fidr::core::{FidrConfig, FidrSystem};
+use fidr::core::{FidrConfig, FidrSystem, Snapshot};
 use fidr::faults::FaultPlan;
 use fidr::ssd::{DataSsdArray, DataSsdError};
 use fidr::tables::ContainerBuilder;
@@ -339,7 +343,7 @@ fn baseline_recovers_from_transient_faults() {
 /// Ages a store with churn: 64 blocks written, the first 40 overwritten
 /// (stranding dead generations), 24 of those then deleted outright.
 /// Returns the expected live contents.
-fn age_store(sys: &mut FidrSystem, gen: &ContentGenerator) -> HashMap<u64, u64> {
+fn age_store<E: Engine>(sys: &mut E, gen: &ContentGenerator) -> HashMap<u64, u64> {
     let mut live = HashMap::new();
     for i in 0..64u64 {
         sys.write(Lba(i), chunk(gen, i)).unwrap();
@@ -358,14 +362,13 @@ fn age_store(sys: &mut FidrSystem, gen: &ContentGenerator) -> HashMap<u64, u64> 
     live
 }
 
-#[test]
-fn crash_mid_gc_never_reclaims_a_referenced_chunk() {
+fn crash_mid_gc_never_reclaims_a_referenced_chunk<E: Engine>() {
     // A GC pass that dies partway — device faults on the survivor
     // copy-out or the table update — must never cost a referenced
     // chunk: not in the still-running process, and not after a crash
     // that recovers from the last durable checkpoint.
     let gen = ContentGenerator::new(0.5);
-    let mut sys = FidrSystem::new(faulty_cfg(FaultPlan::default()));
+    let mut sys = E::new(FaultPlan::default());
     let live = age_store(&mut sys, &gen);
     assert!(sys.pending_dead_chunks() > 0, "churn left garbage behind");
 
@@ -373,44 +376,40 @@ fn crash_mid_gc_never_reclaims_a_referenced_chunk() {
     let image = sys.checkpoint().unwrap().encode();
     drop(sys);
 
-    // Restore into a config with an aggressive device-fault plan and
-    // run GC until a pass fails mid-flight.
-    let plan = FaultPlan::parse("seed=5,data_write=0.9,table_write=0.9,data_read=0.2").unwrap();
-    let snapshot = fidr::core::Snapshot::decode(&image).unwrap();
-    let mut faulty = FidrSystem::restore(faulty_cfg(plan), snapshot);
-    let mut failed_passes = 0u32;
-    for _ in 0..12 {
-        if faulty.collect_garbage(1.1).is_err() {
-            failed_passes += 1;
-        }
-    }
-    assert!(
-        failed_passes > 0,
-        "the fault plan must actually kill at least one GC pass mid-flight"
-    );
-    // The interrupted collector left every referenced chunk readable in
-    // the still-running process (bounded retries ride out the injected
-    // read faults).
-    for (&lba, &tag) in &live {
-        let mut got = None;
-        for _ in 0..32 {
-            if let Ok(data) = faulty.read(Lba(lba)) {
-                got = Some(data);
-                break;
-            }
-        }
-        assert_eq!(
-            got.expect("read must succeed within the retry budget"),
-            gen.chunk(tag, 4096),
-            "lba {lba} after interrupted GC"
+    for seed in 1..=8 {
+        // Restore into a config with an aggressive device-fault plan and
+        // run GC until a pass fails mid-flight.
+        let plan = FaultPlan::parse(&format!(
+            "seed={seed},data_write=0.9,table_write=0.9,data_read=0.2"
+        ))
+        .unwrap();
+        let snapshot = Snapshot::decode(&image).unwrap();
+        let mut faulty = E::restore(plan, snapshot);
+        let failed_passes = (0..12)
+            .filter(|_| faulty.collect_garbage(1.1).is_err())
+            .count();
+        assert!(
+            failed_passes > 0,
+            "seed {seed}: the fault plan must kill at least one GC pass mid-flight"
         );
+        // The interrupted collector left every referenced chunk readable
+        // in the still-running process (bounded retries ride out the
+        // injected read faults).
+        for (&lba, &tag) in &live {
+            let got = (0..32).find_map(|_| faulty.read(Lba(lba)).ok());
+            assert_eq!(
+                got.expect("read must succeed within the retry budget"),
+                gen.chunk(tag, 4096),
+                "seed {seed}: lba {lba} after interrupted GC"
+            );
+        }
+        // Dropping `faulty` is the crash: in-memory GC progress is gone.
     }
-    drop(faulty); // the crash: in-memory GC progress is gone
 
     // Recovery: restore the durable checkpoint, collect cleanly, and
     // prove byte-exact survivors, dead deletes, and a clean scrub.
-    let snapshot = fidr::core::Snapshot::decode(&image).unwrap();
-    let mut recovered = FidrSystem::restore(faulty_cfg(FaultPlan::default()), snapshot);
+    let snapshot = Snapshot::decode(&image).unwrap();
+    let mut recovered = E::restore(FaultPlan::default(), snapshot);
     let report = recovered.collect_garbage(0.9).unwrap();
     assert!(
         report.reclaimed_pbns > 0,
@@ -435,14 +434,13 @@ fn crash_mid_gc_never_reclaims_a_referenced_chunk() {
         .expect("post-recovery scrub must be clean");
 }
 
-#[test]
-fn acked_deletes_survive_recovery() {
+fn acked_deletes_survive_recovery<E: Engine>() {
     // An acked delete is a durability promise in both directions: the
     // unmap must survive a restart (the LBA stays gone), and so must
     // the pending-garbage bookkeeping that lets the post-restart
     // collector reclaim the dead chunks.
     let gen = ContentGenerator::new(0.5);
-    let mut sys = FidrSystem::new(faulty_cfg(FaultPlan::default()));
+    let mut sys = E::new(FaultPlan::default());
     let live = age_store(&mut sys, &gen);
     let pending = sys.pending_dead_chunks();
     assert!(pending > 0);
@@ -450,8 +448,8 @@ fn acked_deletes_survive_recovery() {
     let image = sys.checkpoint().unwrap().encode();
     drop(sys); // the crash
 
-    let snapshot = fidr::core::Snapshot::decode(&image).unwrap();
-    let mut restored = FidrSystem::restore(faulty_cfg(FaultPlan::default()), snapshot);
+    let snapshot = Snapshot::decode(&image).unwrap();
+    let mut restored = E::restore(FaultPlan::default(), snapshot);
     assert_eq!(
         restored.pending_dead_chunks(),
         pending,
@@ -473,6 +471,11 @@ fn acked_deletes_survive_recovery() {
     assert!(report.freed_bytes > 0);
     restored.verify_integrity().expect("clean scrub");
 }
+
+for_both_engines!(
+    crash_mid_gc_never_reclaims_a_referenced_chunk,
+    acked_deletes_survive_recovery,
+);
 
 #[test]
 fn container_id_reuse_is_a_hard_error() {

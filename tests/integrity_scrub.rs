@@ -1,7 +1,11 @@
 //! Integrity scrub: clean stores verify end-to-end; verification
 //! composes with GC, compaction and restore.
 
+#[macro_use]
+mod common;
+
 use bytes::Bytes;
+use common::Engine;
 use fidr::baseline::{BaselineConfig, BaselineSystem};
 use fidr::chunk::Lba;
 use fidr::compress::ContentGenerator;
@@ -33,10 +37,9 @@ fn clean_stores_verify() {
     assert_eq!(base.verify_integrity().unwrap(), 50);
 }
 
-#[test]
-fn scrub_survives_gc_and_compaction() {
+fn scrub_survives_gc_and_compaction<E: Engine>() {
     let gen = ContentGenerator::new(0.5);
-    let mut sys = FidrSystem::new(fidr_cfg());
+    let mut sys = E::new(fidr::faults::FaultPlan::default());
     for i in 0..128u64 {
         sys.write(Lba(i), Bytes::from(gen.chunk(i, 4096))).unwrap();
     }
@@ -50,6 +53,8 @@ fn scrub_survives_gc_and_compaction() {
     sys.flush().unwrap();
     assert_eq!(sys.verify_integrity().unwrap(), 128);
 }
+
+for_both_engines!(scrub_survives_gc_and_compaction);
 
 #[test]
 fn scrub_survives_checkpoint_restore() {
