@@ -24,9 +24,7 @@
 //! assert_eq!(codec.next_frame().unwrap(), None);
 //! ```
 
-use crate::protocol::{
-    Decoded, Message, ProtocolError, ProtocolVersion, HEADER_BYTES, MAX_PAYLOAD_BYTES,
-};
+use crate::protocol::{Decoded, Message, ProtocolError};
 
 /// Consumed-prefix length past which [`FramedCodec`] compacts its buffer
 /// instead of letting decoded frames accumulate.
@@ -48,42 +46,19 @@ pub struct CodecStats {
 /// A hard [`ProtocolError`] poisons the codec — the byte stream has no
 /// frame boundary to resynchronise on, so every later call returns the
 /// same error and the caller should close the connection.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FramedCodec {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by decoded frames.
     pos: usize,
     poisoned: Option<ProtocolError>,
     stats: CodecStats,
-    /// Which opcodes this connection accepts; shares the [`Message`]
-    /// decode logic, so the codec can never drift from the protocol's
-    /// own validation.
-    version: ProtocolVersion,
-}
-
-impl Default for FramedCodec {
-    fn default() -> Self {
-        FramedCodec::new()
-    }
 }
 
 impl FramedCodec {
-    /// Creates an empty codec speaking [`ProtocolVersion::LATEST`].
+    /// Creates an empty codec.
     pub fn new() -> Self {
-        FramedCodec::with_version(ProtocolVersion::LATEST)
-    }
-
-    /// Creates an empty codec restricted to the opcodes of `version` —
-    /// how a pre-telemetry (V1) peer's connection behaves when fed the
-    /// newer stats frames: a clean poison, not a misparse.
-    pub fn with_version(version: ProtocolVersion) -> Self {
-        FramedCodec {
-            buf: Vec::new(),
-            pos: 0,
-            poisoned: None,
-            stats: CodecStats::default(),
-            version,
-        }
+        FramedCodec::default()
     }
 
     /// Appends freshly read stream bytes to the reassembly buffer.
@@ -95,8 +70,7 @@ impl FramedCodec {
     /// Decodes the next whole frame, if one is buffered.
     ///
     /// `Ok(None)` means the buffer ends mid-frame (or is empty): feed
-    /// more bytes and call again. Use [`FramedCodec::needed`] to size the
-    /// next read.
+    /// more bytes and call again.
     ///
     /// # Errors
     ///
@@ -106,7 +80,7 @@ impl FramedCodec {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        match Message::decode_versioned(&self.buf[self.pos..], self.version) {
+        match Message::decode(&self.buf[self.pos..]) {
             Ok(Decoded::Frame { msg, used }) => {
                 self.pos += used;
                 self.stats.frames_decoded += 1;
@@ -125,25 +99,10 @@ impl FramedCodec {
         }
     }
 
-    /// Additional bytes required before the next frame can complete
-    /// (1 when the buffer is empty or poisoned — any read may help the
-    /// caller notice EOF).
-    pub fn needed(&self) -> usize {
-        match Message::decode_versioned(&self.buf[self.pos..], self.version) {
-            Ok(Decoded::Incomplete { needed }) => needed.clamp(1, MAX_PAYLOAD_BYTES + HEADER_BYTES),
-            _ => 1,
-        }
-    }
-
     /// Undecoded bytes currently buffered (a partial frame at EOF means
     /// the peer disconnected mid-frame).
     pub fn pending_bytes(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Whether a hard protocol error has killed this stream.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
     }
 
     /// Lifetime counters.
@@ -203,7 +162,6 @@ mod tests {
         let mut codec = FramedCodec::new();
         codec.feed(&frame[..frame.len() - 1]);
         assert_eq!(codec.next_frame().unwrap(), None);
-        assert_eq!(codec.needed(), 1);
         assert!(codec.pending_bytes() > 0);
         codec.feed(&frame[frame.len() - 1..]);
         assert!(codec.next_frame().unwrap().is_some());
@@ -219,7 +177,6 @@ mod tests {
             codec.next_frame().unwrap_err(),
             ProtocolError::BadOpcode(0xee)
         );
-        assert!(codec.is_poisoned());
         // Even valid follow-up bytes cannot revive the stream.
         codec.feed(&frames()[1].encode().unwrap());
         assert!(codec.next_frame().is_err());
@@ -232,85 +189,10 @@ mod tests {
         header[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut codec = FramedCodec::new();
         codec.feed(&header);
+        // Rejected on the 13 header bytes alone: nothing waits for 4 GiB.
         assert!(matches!(
             codec.next_frame().unwrap_err(),
             ProtocolError::PayloadTooLarge { .. }
-        ));
-        // The codec never asked for 4 GiB.
-        assert!(codec.needed() <= MAX_PAYLOAD_BYTES + HEADER_BYTES);
-    }
-
-    #[test]
-    fn v1_codec_poisons_cleanly_on_a_stats_frame() {
-        use crate::protocol::StatsFormat;
-        // An old (pre-telemetry) peer's codec fed the new 0x05 frame
-        // closes the connection with BadOpcode — never a misparse, never
-        // a panic — while a current codec decodes it fine.
-        let frame = Message::StatsRequest {
-            format: StatsFormat::Json,
-        }
-        .encode()
-        .unwrap();
-        let mut old = FramedCodec::with_version(ProtocolVersion::V1);
-        old.feed(&frame);
-        assert_eq!(
-            old.next_frame().unwrap_err(),
-            ProtocolError::BadOpcode(0x05)
-        );
-        assert!(old.is_poisoned());
-        let mut new = FramedCodec::new();
-        new.feed(&frame);
-        assert!(matches!(
-            new.next_frame().unwrap(),
-            Some(Message::StatsRequest { .. })
-        ));
-    }
-
-    #[test]
-    fn v2_codec_poisons_cleanly_on_a_shard_map_frame() {
-        use crate::protocol::ShardMapAction;
-        // A pre-cluster (V2) peer's codec fed the new 0x07 frame closes
-        // the connection with BadOpcode — never a misparse — while a
-        // current codec decodes it fine.
-        let frame = Message::ShardMapRequest {
-            action: ShardMapAction::Get,
-            map: Bytes::new(),
-        }
-        .encode()
-        .unwrap();
-        let mut old = FramedCodec::with_version(ProtocolVersion::V2);
-        old.feed(&frame);
-        assert_eq!(
-            old.next_frame().unwrap_err(),
-            ProtocolError::BadOpcode(0x07)
-        );
-        assert!(old.is_poisoned());
-        let mut new = FramedCodec::new();
-        new.feed(&frame);
-        assert!(matches!(
-            new.next_frame().unwrap(),
-            Some(Message::ShardMapRequest { .. })
-        ));
-    }
-
-    #[test]
-    fn v3_codec_poisons_cleanly_on_a_delete_frame() {
-        // A pre-delete (V3) peer's codec fed the new 0x09 frame closes
-        // the connection with BadOpcode — never a misparse — while a
-        // current codec decodes it fine.
-        let frame = Message::Delete { lba: Lba(4) }.encode().unwrap();
-        let mut old = FramedCodec::with_version(ProtocolVersion::V3);
-        old.feed(&frame);
-        assert_eq!(
-            old.next_frame().unwrap_err(),
-            ProtocolError::BadOpcode(0x09)
-        );
-        assert!(old.is_poisoned());
-        let mut new = FramedCodec::new();
-        new.feed(&frame);
-        assert!(matches!(
-            new.next_frame().unwrap(),
-            Some(Message::Delete { lba: Lba(4) })
         ));
     }
 

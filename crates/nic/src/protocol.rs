@@ -23,20 +23,19 @@
 //!     13   len  payload
 //! ```
 //!
-//! The valid opcodes live in one place — the [`Opcode`] enum — shared by
-//! [`Message::encode`], [`Message::decode`] and [`crate::FramedCodec`],
-//! so a new opcode cannot be half-wired. [`ProtocolVersion`] pins which
-//! opcodes a decoder accepts: a V1 (pre-telemetry) peer rejects the stats
-//! frames with a clean [`ProtocolError::BadOpcode`] instead of
-//! misparsing them.
+//! There is one protocol revision: ten opcodes, all living in one place
+//! — the [`Opcode`] enum — shared by [`Message::encode`],
+//! [`Message::decode`] and [`crate::FramedCodec`], so a new opcode
+//! cannot be half-wired.
 //!
 //! The declared length is bounded by [`MAX_PAYLOAD_BYTES`] in **both**
 //! directions: [`Message::encode`] refuses to build a frame it could not
 //! decode, and [`Message::decode`] rejects a hostile length field before
-//! any reader commits buffer space to it. [`Opcode::StatsRequest`] must
-//! declare a zero-length payload ([`ProtocolError::UnexpectedPayload`]
-//! otherwise); the storage opcodes keep tolerating — and discarding —
-//! unexpected payloads for wire compatibility with PR-5 peers.
+//! any reader commits buffer space to it. One strictness rule covers the
+//! rest: an opcode that does not carry a payload
+//! ([`Opcode::carries_payload`]) must declare a zero length —
+//! [`ProtocolError::UnexpectedPayload`] otherwise, from the header
+//! alone.
 //!
 //! # Streaming contract
 //!
@@ -76,20 +75,19 @@ pub enum Opcode {
     WriteAck = 0x03,
     /// Server → client read reply.
     ReadReply = 0x04,
-    /// Client → server telemetry scrape request ([`ProtocolVersion::V2`]).
+    /// Client → server telemetry scrape request.
     StatsRequest = 0x05,
-    /// Server → client telemetry snapshot ([`ProtocolVersion::V2`]).
+    /// Server → client telemetry snapshot.
     StatsReply = 0x06,
-    /// Cluster-membership request ([`ProtocolVersion::V3`]): fetch,
-    /// install, or drain against a consistent-hash shard map.
+    /// Cluster-membership request: fetch, install, or drain against a
+    /// consistent-hash shard map.
     ShardMapRequest = 0x07,
-    /// Shard-map reply carrying the node's current encoded map
-    /// ([`ProtocolVersion::V3`]).
+    /// Shard-map reply carrying the node's current encoded map.
     ShardMapReply = 0x08,
-    /// Client → server delete request ([`ProtocolVersion::V4`]): unmap
-    /// the LBA and release its chunk reference.
+    /// Client → server delete request: unmap the LBA and release its
+    /// chunk reference.
     Delete = 0x09,
-    /// Server → client delete acknowledgment ([`ProtocolVersion::V4`]).
+    /// Server → client delete acknowledgment.
     DeleteAck = 0x0A,
 }
 
@@ -111,19 +109,7 @@ impl Opcode {
     /// Parses the first header byte. `None` is a
     /// [`ProtocolError::BadOpcode`] at the decode layer.
     pub fn from_byte(byte: u8) -> Option<Opcode> {
-        match byte {
-            0x01 => Some(Opcode::Write),
-            0x02 => Some(Opcode::Read),
-            0x03 => Some(Opcode::WriteAck),
-            0x04 => Some(Opcode::ReadReply),
-            0x05 => Some(Opcode::StatsRequest),
-            0x06 => Some(Opcode::StatsReply),
-            0x07 => Some(Opcode::ShardMapRequest),
-            0x08 => Some(Opcode::ShardMapReply),
-            0x09 => Some(Opcode::Delete),
-            0x0A => Some(Opcode::DeleteAck),
-            _ => None,
-        }
+        Opcode::ALL.into_iter().find(|op| op.as_byte() == byte)
     }
 
     /// The wire byte of this opcode.
@@ -131,14 +117,11 @@ impl Opcode {
         self as u8
     }
 
-    /// Whether frames of this opcode may carry a payload. A
-    /// [`Opcode::StatsRequest`] declaring a nonzero length is a hard
-    /// [`ProtocolError::UnexpectedPayload`] (so is a
-    /// [`ShardMapAction::Get`] request, and so are the V4
-    /// [`Opcode::Delete`] / [`Opcode::DeleteAck`] frames — they were
-    /// born strict); the payload-free *storage* opcodes of the original
-    /// protocol (Read/WriteAck) tolerate and discard one for wire
-    /// compatibility with PR-5 encoders.
+    /// Whether frames of this opcode may carry a payload. This is the
+    /// decoder's strictness rule: a frame of any other opcode declaring
+    /// a nonzero length is a hard [`ProtocolError::UnexpectedPayload`]
+    /// (as is a [`ShardMapAction::Get`] request, the one payload-free
+    /// form of a carrying opcode).
     pub fn carries_payload(self) -> bool {
         matches!(
             self,
@@ -148,56 +131,6 @@ impl Opcode {
                 | Opcode::ShardMapRequest
                 | Opcode::ShardMapReply
         )
-    }
-}
-
-/// The protocol revision a decoder speaks, i.e. which opcodes it
-/// accepts. Frames themselves are not versioned — the header layout
-/// never changed — so this models peer capability: a V1 decoder facing a
-/// V2-only frame fails with a clean [`ProtocolError::BadOpcode`], which
-/// is exactly what a pre-telemetry binary does on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolVersion {
-    /// The PR-5 storage protocol: opcodes `0x01..=0x04` only.
-    V1,
-    /// Adds in-band telemetry: [`Opcode::StatsRequest`] /
-    /// [`Opcode::StatsReply`].
-    V2,
-    /// Adds cluster membership: [`Opcode::ShardMapRequest`] /
-    /// [`Opcode::ShardMapReply`].
-    V3,
-    /// Adds the delete lifecycle: [`Opcode::Delete`] /
-    /// [`Opcode::DeleteAck`].
-    V4,
-}
-
-impl ProtocolVersion {
-    /// The newest revision; what [`Message::decode`] and
-    /// [`crate::FramedCodec::new`] speak.
-    pub const LATEST: ProtocolVersion = ProtocolVersion::V4;
-
-    /// Whether this revision accepts `op`.
-    pub fn accepts(self, op: Opcode) -> bool {
-        match self {
-            ProtocolVersion::V1 => !matches!(
-                op,
-                Opcode::StatsRequest
-                    | Opcode::StatsReply
-                    | Opcode::ShardMapRequest
-                    | Opcode::ShardMapReply
-                    | Opcode::Delete
-                    | Opcode::DeleteAck
-            ),
-            ProtocolVersion::V2 => !matches!(
-                op,
-                Opcode::ShardMapRequest
-                    | Opcode::ShardMapReply
-                    | Opcode::Delete
-                    | Opcode::DeleteAck
-            ),
-            ProtocolVersion::V3 => !matches!(op, Opcode::Delete | Opcode::DeleteAck),
-            ProtocolVersion::V4 => true,
-        }
     }
 }
 
@@ -316,9 +249,8 @@ pub enum Message {
         /// Prometheus exposition text).
         body: Bytes,
     },
-    /// Router → node cluster-membership request
-    /// ([`ProtocolVersion::V3`]). The LBA header field carries the
-    /// [`ShardMapAction`] code; [`ShardMapAction::Get`] carries no
+    /// Router → node cluster-membership request. The LBA header field
+    /// carries the [`ShardMapAction`] code; [`ShardMapAction::Get`] carries no
     /// payload, the install actions carry an encoded
     /// `fidr.shardmap.v1` document.
     ShardMapRequest {
@@ -337,8 +269,8 @@ pub enum Message {
         /// The node's current encoded `fidr.shardmap.v1` map.
         map: Bytes,
     },
-    /// Client → server delete request ([`ProtocolVersion::V4`]): unmap
-    /// `lba` and release its chunk reference. Carries no payload — a
+    /// Client → server delete request: unmap `lba` and release its
+    /// chunk reference. Carries no payload — a
     /// declared length is [`ProtocolError::UnexpectedPayload`].
     Delete {
         /// Block to delete.
@@ -385,8 +317,8 @@ pub enum ProtocolError {
         /// The offending length in bytes.
         len: u64,
     },
-    /// A frame whose opcode must not carry a payload declared a nonzero
-    /// length ([`Opcode::StatsRequest`]).
+    /// A frame whose opcode must not carry a payload
+    /// ([`Opcode::carries_payload`]) declared a nonzero length.
     UnexpectedPayload {
         /// The offending opcode byte.
         opcode: u8,
@@ -531,67 +463,37 @@ impl Message {
     /// unknown format code. All are permanent: no further input can
     /// repair the stream.
     pub fn decode(buf: &[u8]) -> Result<Decoded, ProtocolError> {
-        Message::decode_versioned(buf, ProtocolVersion::LATEST)
-    }
-
-    /// [`Message::decode`] restricted to the opcodes of `version` — the
-    /// decoder a peer of that protocol revision runs. A V1 decoder fed a
-    /// V2 stats frame fails with [`ProtocolError::BadOpcode`] from the
-    /// header alone, exactly like a pre-telemetry binary on the wire.
-    ///
-    /// # Errors
-    ///
-    /// As [`Message::decode`].
-    pub fn decode_versioned(
-        buf: &[u8],
-        version: ProtocolVersion,
-    ) -> Result<Decoded, ProtocolError> {
         if buf.len() < HEADER_BYTES {
             return Ok(Decoded::Incomplete {
                 needed: HEADER_BYTES - buf.len(),
             });
         }
-        let opcode = Opcode::from_byte(buf[0])
-            .filter(|op| version.accepts(*op))
-            .ok_or(ProtocolError::BadOpcode(buf[0]))?;
-        // For the storage opcodes this is the LBA; for the stats opcodes
-        // it carries the format code (validated below, header-only).
+        let opcode = Opcode::from_byte(buf[0]).ok_or(ProtocolError::BadOpcode(buf[0]))?;
+        // For the storage opcodes this is the LBA.
         let field = u64::from_le_bytes(buf[1..9].try_into().expect("8 bytes"));
         let declared = u64::from(u32::from_le_bytes(buf[9..13].try_into().expect("4 bytes")));
         if declared > MAX_PAYLOAD_BYTES as u64 {
             return Err(ProtocolError::PayloadTooLarge { len: declared });
         }
-        if matches!(
-            opcode,
-            Opcode::StatsRequest | Opcode::Delete | Opcode::DeleteAck
-        ) && declared != 0
-        {
+        // The LBA field's other meanings, validated from the header.
+        let format =
+            || StatsFormat::from_code(field).ok_or(ProtocolError::BadStatsFormat { code: field });
+        let action = || {
+            ShardMapAction::from_code(field).ok_or(ProtocolError::BadShardAction { code: field })
+        };
+        // The one strictness rule: a frame that carries no payload must
+        // declare none. A Get is the payload-free form of its opcode.
+        let carries = opcode.carries_payload()
+            && !(opcode == Opcode::ShardMapRequest && action()? == ShardMapAction::Get);
+        if !carries && declared != 0 {
             return Err(ProtocolError::UnexpectedPayload {
                 opcode: opcode.as_byte(),
                 len: declared,
             });
         }
-        let format = match opcode {
-            Opcode::StatsRequest | Opcode::StatsReply => Some(
-                StatsFormat::from_code(field)
-                    .ok_or(ProtocolError::BadStatsFormat { code: field })?,
-            ),
-            _ => None,
-        };
-        let action = match opcode {
-            Opcode::ShardMapRequest => {
-                let action = ShardMapAction::from_code(field)
-                    .ok_or(ProtocolError::BadShardAction { code: field })?;
-                if action == ShardMapAction::Get && declared != 0 {
-                    return Err(ProtocolError::UnexpectedPayload {
-                        opcode: opcode.as_byte(),
-                        len: declared,
-                    });
-                }
-                Some(action)
-            }
-            _ => None,
-        };
+        if matches!(opcode, Opcode::StatsRequest | Opcode::StatsReply) {
+            format()?;
+        }
         let len = declared as usize;
         // With the bound above this cannot overflow even on 16/32-bit
         // targets, but fold the check into the length validation anyway —
@@ -611,15 +513,13 @@ impl Message {
             Opcode::Read => Message::Read { lba },
             Opcode::WriteAck => Message::WriteAck { lba },
             Opcode::ReadReply => Message::ReadReply { lba, data },
-            Opcode::StatsRequest => Message::StatsRequest {
-                format: format.expect("validated above"),
-            },
+            Opcode::StatsRequest => Message::StatsRequest { format: format()? },
             Opcode::StatsReply => Message::StatsReply {
-                format: format.expect("validated above"),
+                format: format()?,
                 body: data,
             },
             Opcode::ShardMapRequest => Message::ShardMapRequest {
-                action: action.expect("validated above"),
+                action: action()?,
                 map: data,
             },
             Opcode::ShardMapReply => Message::ShardMapReply {
@@ -744,7 +644,9 @@ mod tests {
 
     #[test]
     fn hostile_length_is_rejected_from_the_header() {
-        let mut frame = Message::Read { lba: Lba(3) }.encode().unwrap();
+        // A bare Write header: the opcode may carry a payload, so only
+        // the length bound can reject it.
+        let mut frame = encode_raw(Opcode::Write.as_byte(), 3, 0);
         frame[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             Message::decode(&frame).unwrap_err(),
@@ -840,29 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_request_with_nonzero_payload_is_a_hard_error() {
-        // A StatsRequest must not carry a payload; a declared length is
-        // rejected from the header alone, before the body arrives.
-        let mut frame = encode_raw(0x05, StatsFormat::Json.code(), 16);
-        assert_eq!(
-            Message::decode(&frame).unwrap_err(),
-            ProtocolError::UnexpectedPayload {
-                opcode: 0x05,
-                len: 16
-            }
-        );
-        // ... and with the body present the verdict is the same.
-        frame.extend_from_slice(&[0u8; 16]);
-        assert_eq!(
-            Message::decode(&frame).unwrap_err(),
-            ProtocolError::UnexpectedPayload {
-                opcode: 0x05,
-                len: 16
-            }
-        );
-    }
-
-    #[test]
     fn stats_reply_truncated_mid_frame_is_incomplete_not_an_error() {
         let frame = Message::StatsReply {
             format: StatsFormat::Json,
@@ -885,46 +764,6 @@ mod tests {
         assert!(matches!(
             Message::decode_whole(&frame).unwrap().0,
             Message::StatsReply { .. }
-        ));
-    }
-
-    #[test]
-    fn v1_decoder_rejects_stats_opcodes_cleanly() {
-        // Old-client / new-server compatibility: a pre-PR-8 (V1) decoder
-        // fed the new opcodes fails with BadOpcode from the header alone —
-        // a clean connection close, not a misparse.
-        let request = Message::StatsRequest {
-            format: StatsFormat::Json,
-        }
-        .encode()
-        .unwrap();
-        let reply = Message::StatsReply {
-            format: StatsFormat::Json,
-            body: Bytes::from_static(b"{}"),
-        }
-        .encode()
-        .unwrap();
-        for frame in [&request, &reply] {
-            assert!(matches!(
-                Message::decode_versioned(frame, ProtocolVersion::V1).unwrap_err(),
-                ProtocolError::BadOpcode(0x05 | 0x06)
-            ));
-            // The same bytes decode fine at LATEST.
-            assert!(matches!(
-                Message::decode_versioned(frame, ProtocolVersion::LATEST).unwrap(),
-                Decoded::Frame { .. }
-            ));
-        }
-        // V1 still accepts every storage opcode.
-        let write = Message::Write {
-            lba: Lba(1),
-            data: Bytes::from_static(b"abc"),
-        }
-        .encode()
-        .unwrap();
-        assert!(matches!(
-            Message::decode_versioned(&write, ProtocolVersion::V1).unwrap(),
-            Decoded::Frame { .. }
         ));
     }
 
@@ -992,48 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_decoders_reject_shard_map_opcodes_cleanly() {
-        // Old-peer compatibility: pre-cluster decoders fed the V3
-        // opcodes fail with BadOpcode from the header alone — a clean
-        // connection close, not a misparse.
-        let request = Message::ShardMapRequest {
-            action: ShardMapAction::Get,
-            map: Bytes::new(),
-        }
-        .encode()
-        .unwrap();
-        let reply = Message::ShardMapReply {
-            generation: 1,
-            map: Bytes::from_static(b"fidr.shardmap.v1\n"),
-        }
-        .encode()
-        .unwrap();
-        for frame in [&request, &reply] {
-            for version in [ProtocolVersion::V1, ProtocolVersion::V2] {
-                assert!(matches!(
-                    Message::decode_versioned(frame, version).unwrap_err(),
-                    ProtocolError::BadOpcode(0x07 | 0x08)
-                ));
-            }
-            // The same bytes decode fine at LATEST.
-            assert!(matches!(
-                Message::decode_versioned(frame, ProtocolVersion::LATEST).unwrap(),
-                Decoded::Frame { .. }
-            ));
-        }
-        // V2 still accepts the stats opcodes it introduced.
-        let stats = Message::StatsRequest {
-            format: StatsFormat::Json,
-        }
-        .encode()
-        .unwrap();
-        assert!(matches!(
-            Message::decode_versioned(&stats, ProtocolVersion::V2).unwrap(),
-            Decoded::Frame { .. }
-        ));
-    }
-
-    #[test]
     fn delete_frames_round_trip() {
         for msg in [
             Message::Delete { lba: Lba(42) },
@@ -1049,58 +846,20 @@ mod tests {
     }
 
     #[test]
-    fn delete_with_nonzero_payload_is_a_hard_error() {
-        // Delete/DeleteAck were born strict: a declared length is
-        // rejected from the header alone, before the body arrives.
-        for opcode in [0x09u8, 0x0A] {
-            let frame = encode_raw(opcode, 7, 16);
-            assert_eq!(
-                Message::decode(&frame).unwrap_err(),
-                ProtocolError::UnexpectedPayload { opcode, len: 16 }
-            );
-        }
-    }
-
-    #[test]
-    fn v1_through_v3_decoders_reject_delete_opcodes_cleanly() {
-        // Old-peer compatibility, following the V2/V3 pattern: every
-        // pre-delete decoder fed a V4 frame fails with BadOpcode from
-        // the header alone — a clean connection close, not a misparse.
-        let delete = Message::Delete { lba: Lba(5) }.encode().unwrap();
-        let ack = Message::DeleteAck { lba: Lba(5) }.encode().unwrap();
-        for frame in [&delete, &ack] {
-            for version in [
-                ProtocolVersion::V1,
-                ProtocolVersion::V2,
-                ProtocolVersion::V3,
-            ] {
-                assert!(matches!(
-                    Message::decode_versioned(frame, version).unwrap_err(),
-                    ProtocolError::BadOpcode(0x09 | 0x0A)
-                ));
+    fn payload_free_opcodes_with_nonzero_payload_are_a_hard_error() {
+        // One rule, driven by `carries_payload`: a declared length on
+        // any payload-free opcode is rejected from the header alone,
+        // before the body arrives — and just the same once it has.
+        for op in Opcode::ALL.into_iter().filter(|op| !op.carries_payload()) {
+            let opcode = op.as_byte();
+            let mut frame = encode_raw(opcode, 0, 16);
+            for _ in 0..2 {
+                assert_eq!(
+                    Message::decode(&frame).unwrap_err(),
+                    ProtocolError::UnexpectedPayload { opcode, len: 16 }
+                );
+                frame.extend_from_slice(&[0u8; 16]);
             }
-            // The same bytes decode fine at LATEST.
-            assert!(matches!(
-                Message::decode_versioned(frame, ProtocolVersion::LATEST).unwrap(),
-                Decoded::Frame { .. }
-            ));
-        }
-        // V3 still accepts everything it spoke before V4 existed.
-        for msg in [
-            Message::Read { lba: Lba(1) },
-            Message::StatsRequest {
-                format: StatsFormat::Json,
-            },
-            Message::ShardMapRequest {
-                action: ShardMapAction::Get,
-                map: Bytes::new(),
-            },
-        ] {
-            let frame = msg.encode().unwrap();
-            assert!(matches!(
-                Message::decode_versioned(&frame, ProtocolVersion::V3).unwrap(),
-                Decoded::Frame { .. }
-            ));
         }
     }
 

@@ -42,6 +42,7 @@
 use fidr_chunk::Lba;
 use fidr_hash::splitmix64;
 use std::fmt;
+use std::net::SocketAddr;
 
 /// Schema tag on the first line of an encoded shard map.
 pub const SHARDMAP_SCHEMA: &str = "fidr.shardmap.v1";
@@ -61,6 +62,19 @@ pub struct ShardNode {
     pub addr: String,
 }
 
+impl ShardNode {
+    /// The listen address as a connectable socket address.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardMapError::BadAddr`] when `addr` is not `ip:port`.
+    pub fn socket_addr(&self) -> Result<SocketAddr, ShardMapError> {
+        self.addr
+            .parse()
+            .map_err(|_| ShardMapError::BadAddr(self.addr.clone()))
+    }
+}
+
 /// Error decoding or mutating a shard map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMapError {
@@ -74,6 +88,8 @@ pub enum ShardMapError {
     UnknownNode(u64),
     /// `vnodes` must be at least 1.
     BadVnodes,
+    /// A node's address does not parse as `ip:port`.
+    BadAddr(String),
 }
 
 impl fmt::Display for ShardMapError {
@@ -84,6 +100,7 @@ impl fmt::Display for ShardMapError {
             ShardMapError::DuplicateNode(id) => write!(f, "duplicate node id {id}"),
             ShardMapError::UnknownNode(id) => write!(f, "no node with id {id}"),
             ShardMapError::BadVnodes => write!(f, "vnodes must be >= 1"),
+            ShardMapError::BadAddr(addr) => write!(f, "bad node addr {addr}"),
         }
     }
 }

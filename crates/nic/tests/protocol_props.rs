@@ -105,45 +105,6 @@ proptest! {
         }
     }
 
-    /// Version gating is a pure function of the opcode: a frame decodes
-    /// at an older version iff that version speaks its opcode, and the
-    /// rejection is always a clean `BadOpcode` from the header — never a
-    /// misparse into some other message.
-    #[test]
-    fn old_decoders_gate_frames_by_opcode_alone(
-        msg in message_strategy(),
-        version_pick in 0usize..4,
-    ) {
-        use fidr_nic::protocol::ProtocolVersion;
-        let version = [
-            ProtocolVersion::V1,
-            ProtocolVersion::V2,
-            ProtocolVersion::V3,
-            ProtocolVersion::V4,
-        ][version_pick];
-        let bytes = msg.encode().expect("within payload bound");
-        let result = Message::decode_versioned(&bytes, version);
-        if version.accepts(msg.opcode()) {
-            match result.expect("spoken opcode decodes") {
-                Decoded::Frame { msg: decoded, used } => {
-                    prop_assert_eq!(decoded, msg);
-                    prop_assert_eq!(used, bytes.len());
-                }
-                Decoded::Incomplete { needed } => {
-                    panic!("complete frame reported Incomplete (needed {needed})")
-                }
-            }
-        } else {
-            let opcode = bytes[0];
-            match result {
-                Err(fidr_nic::protocol::ProtocolError::BadOpcode(op)) => {
-                    prop_assert_eq!(op, opcode);
-                }
-                other => panic!("unspoken opcode must be BadOpcode, got {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn codec_reassembles_any_chunking(
         msgs in proptest::collection::vec(message_strategy(), 1..8),

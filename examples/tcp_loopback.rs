@@ -8,7 +8,7 @@
 //! cargo run --release --example tcp_loopback
 //! ```
 
-use fidr::client::run_traffic;
+use fidr::client::{run_traffic, StorageClient};
 use fidr::server::{Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = handle.local_addr();
     println!("serving on {addr}");
 
-    let report = run_traffic(addr, 4, 150, 42)?;
+    let report = run_traffic(|| StorageClient::connect(addr), 4, 150, 42)?;
     println!(
         "client traffic: {} writes acked, {} reads verified, {} mismatches",
         report.writes, report.reads, report.verify_failures

@@ -6,6 +6,14 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# The wire protocol has one revision; its retired version gating must
+# not creep back.
+if grep -rnE 'ProtocolVersion|decode_versioned|with_version' \
+  crates src tests docs README.md DESIGN.md; then
+  echo "protocol version gating is back (see matches above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -253,7 +261,9 @@ grep -q '^fidr top' "$TELEM_DIR/top.txt"
 echo "    $(grep -c '"seq": ' "$TELEM_DIR/scrape.json") timeseries samples scraped in-band"
 
 # 2-node cluster loopback smoke: stand two serving nodes up, install
-# the consistent-hash bootstrap map, drive multi-tenant open-loop
+# the consistent-hash bootstrap map, age the fleet with churn (writes,
+# overwrites, deletes) through a self-draining `fidr route` front tier
+# and verify the survivors through it, drive multi-tenant open-loop
 # traffic through the fan-out client (inline read verification), drain
 # node 2 — its blocks rehome to the survivor and the process exits on
 # its own — then prove zero acked-write loss by re-reading every block
@@ -262,17 +272,19 @@ echo "    $(grep -c '"seq": ' "$TELEM_DIR/scrape.json") timeseries samples scrap
 echo "==> 2-node cluster loopback smoke"
 CLUSTER_DIR="${CLUSTER_DIR:-target/ci-cluster}"
 mkdir -p "$CLUSTER_DIR"
-rm -f "$CLUSTER_DIR/port1" "$CLUSTER_DIR/port2" \
+rm -f "$CLUSTER_DIR/port1" "$CLUSTER_DIR/port2" "$CLUSTER_DIR/front-port" \
   "$CLUSTER_DIR/node1-metrics.json" "$CLUSTER_DIR/node2-metrics.json"
-# Node 1 accepts exactly 10 connections across the scripted sequence:
-# bootstrap reshard (map fetch + install = 2), open-loop client
-# (map fetch + 2 fan-out workers = 3), drain reshard (map fetch +
-# node 2's rehome push + survivor install = 3), verify client
-# (map fetch + 1 device = 2) — then auto-drains and writes its
+# Node 1 accepts exactly 13 connections across the scripted sequence:
+# bootstrap reshard (map fetch + install = 2), front tier (its map
+# fetch + one backend connection for each of the 2 clients it fronts —
+# every fronted connection opens one backend connection per node = 3),
+# open-loop client (map fetch + 2 fan-out workers = 3), drain reshard
+# (map fetch + node 2's rehome push + survivor install = 3), verify
+# client (map fetch + 1 device = 2) — then auto-drains and writes its
 # metrics. Node 2 exits via the drain handoff, so it needs no
 # connection budget.
 cargo run --release -q --bin fidr -- serve \
-  --port 0 --node-id 1 --port-file "$CLUSTER_DIR/port1" --conns-limit 10 \
+  --port 0 --node-id 1 --port-file "$CLUSTER_DIR/port1" --conns-limit 13 \
   --metrics-out "$CLUSTER_DIR/node1-metrics.json" > "$CLUSTER_DIR/node1.log" &
 NODE1_PID=$!
 cargo run --release -q --bin fidr -- serve \
@@ -294,6 +306,34 @@ done
 NODE1_ADDR="$(cat "$CLUSTER_DIR/port1")"
 NODE2_ADDR="$(cat "$CLUSTER_DIR/port2")"
 cargo run --release -q --bin fidr -- reshard --nodes "$NODE1_ADDR,$NODE2_ADDR"
+# Front-tier hop: a plain single-node client churns through `fidr
+# route`, so deletes are routed by the shard map like writes, and the
+# front tier drains itself once its 2 connections have closed. It runs
+# before the open-loop traffic because both lay tenants out from LBA 0:
+# the later writes simply overwrite what churn left behind.
+cargo run --release -q --bin fidr -- route --nodes "$NODE1_ADDR,$NODE2_ADDR" \
+  --port 0 --port-file "$CLUSTER_DIR/front-port" --conns-limit 2 \
+  > "$CLUSTER_DIR/front.log" &
+FRONT_PID=$!
+tries=0
+while [ ! -s "$CLUSTER_DIR/front-port" ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    echo "front tier never wrote its port file" >&2
+    kill "$NODE1_PID" "$NODE2_PID" "$FRONT_PID" 2> /dev/null || true
+    exit 1
+  fi
+  sleep 0.1
+done
+FRONT_ADDR="$(cat "$CLUSTER_DIR/front-port")"
+cargo run --release -q --bin fidr -- client --addr "$FRONT_ADDR" --mode churn
+cargo run --release -q --bin fidr -- client --addr "$FRONT_ADDR" --mode churn-verify
+wait "$FRONT_PID"
+grep -q ' 0 connection errors' "$CLUSTER_DIR/front.log"
+if grep -q '/ 0 deletes routed' "$CLUSTER_DIR/front.log"; then
+  echo "front tier routed no deletes: $(cat "$CLUSTER_DIR/front.log")" >&2
+  exit 1
+fi
 cargo run --release -q --bin fidr -- client --nodes "$NODE1_ADDR,$NODE2_ADDR" \
   --mode open --conns 2 --ops 300 --tenants 8
 cargo run --release -q --bin fidr -- reshard --nodes "$NODE1_ADDR,$NODE2_ADDR" \
@@ -320,6 +360,7 @@ if [ "$W1" -eq 0 ] || [ "$W2" -eq 0 ]; then
   exit 1
 fi
 echo "    writes spread node1=$W1 node2=$W2, drain handed off, survivor verified"
+echo "    $(grep 'front tier drained' "$CLUSTER_DIR/front.log")"
 
 # Wall-speedup regression gate: the persistent worker pool must keep
 # real wall-clock batch throughput scaling with --workers. Every worker

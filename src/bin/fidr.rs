@@ -17,7 +17,7 @@ use fidr::cli::{
     write_output,
 };
 use fidr::client::{
-    run_churn, run_churn_verify, run_cluster_traffic, run_open_loop, run_traffic, run_verify,
+    run_churn, run_churn_verify, run_open_loop, run_traffic, run_verify, BlockDevice, ClientError,
     ClusterClient, StorageClient,
 };
 use fidr::compress::ContentGenerator;
@@ -110,7 +110,7 @@ TELEMETRY:  a running server samples its merged metrics every --sample-ms
             --iters times (0 = until interrupted). The drain-time metrics
             export stays byte-identical whether the sampler runs or not.
 LIFECYCLE:  `fidr client --mode churn` drives a deterministic
-            write→overwrite→delete aging schedule (protocol v4 Delete
+            write→overwrite→delete aging schedule (wire Delete
             frames) over --tenants x --blocks blocks for --rounds rounds,
             deleting --delete-pct percent of visits; --mode churn-verify
             re-reads every surviving block of the same-seed schedule and
@@ -640,58 +640,25 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
     // --addr, or a consistent-hash fleet behind --nodes. Prefer the
     // fleet's installed map (its ids survive reshards); fall back to
     // the list-derived bootstrap map for an uninstalled fleet.
-    let cluster_map = if nodes.is_empty() {
-        None
+    type Device = Box<dyn BlockDevice + Send>;
+    let connect: Box<dyn Fn() -> Result<Device, ClientError>> = if nodes.is_empty() {
+        let addr = addr_flag(flags)?;
+        Box::new(move || Ok(Box::new(StorageClient::connect(addr)?)))
     } else {
-        Some(fetch_current_map(&nodes).map_or_else(
+        let map = fetch_current_map(&nodes).map_or_else(
             || map_from_addrs(&nodes).map_err(|e| format!("bad --nodes: {e}")),
             Ok,
-        )?)
+        )?;
+        Box::new(move || Ok(Box::new(ClusterClient::connect(map.clone())?)))
     };
     let report = match mode {
-        "traffic" => match &cluster_map {
-            Some(map) => run_cluster_traffic(map, conns, ops, seed),
-            None => run_traffic(addr_flag(flags)?, conns, ops, seed),
-        },
-        "open" => match &cluster_map {
-            Some(map) => run_open_loop(
-                || ClusterClient::connect(map.clone()),
-                conns,
-                open_spec,
-                shift,
-            ),
-            None => {
-                let addr = addr_flag(flags)?;
-                run_open_loop(|| StorageClient::connect(addr), conns, open_spec, shift)
-            }
-        },
-        "verify" => match &cluster_map {
-            Some(map) => ClusterClient::connect(map.clone())
-                .and_then(|mut dev| run_verify(&mut dev, open_spec, shift)),
-            None => {
-                let addr = addr_flag(flags)?;
-                StorageClient::connect(addr)
-                    .and_then(|mut dev| run_verify(&mut dev, open_spec, shift))
-            }
-        },
-        "churn" => match &cluster_map {
-            Some(map) => ClusterClient::connect(map.clone())
-                .and_then(|mut dev| run_churn(&mut dev, churn_spec, shift)),
-            None => {
-                let addr = addr_flag(flags)?;
-                StorageClient::connect(addr)
-                    .and_then(|mut dev| run_churn(&mut dev, churn_spec, shift))
-            }
-        },
-        "churn-verify" => match &cluster_map {
-            Some(map) => ClusterClient::connect(map.clone())
-                .and_then(|mut dev| run_churn_verify(&mut dev, churn_spec, shift)),
-            None => {
-                let addr = addr_flag(flags)?;
-                StorageClient::connect(addr)
-                    .and_then(|mut dev| run_churn_verify(&mut dev, churn_spec, shift))
-            }
-        },
+        "traffic" => run_traffic(&connect, conns, ops, seed),
+        "open" => run_open_loop(&connect, conns, open_spec, shift),
+        "verify" => connect().and_then(|mut dev| run_verify(&mut dev, open_spec, shift)),
+        "churn" => connect().and_then(|mut dev| run_churn(&mut dev, churn_spec, shift)),
+        "churn-verify" => {
+            connect().and_then(|mut dev| run_churn_verify(&mut dev, churn_spec, shift))
+        }
         other => {
             return Err(format!(
                 "unknown --mode {other:?} (traffic|open|verify|churn|churn-verify)"
@@ -834,11 +801,12 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let report = handle.wait();
     println!(
-        "front tier drained: {} connections, {} writes / {} reads routed, \
+        "front tier drained: {} connections, {} writes / {} reads / {} deletes routed, \
          {} map requests, {} connection errors",
         report.connections,
         report.writes_routed,
         report.reads_routed,
+        report.deletes_routed,
         report.map_gets,
         report.conn_errors,
     );

@@ -2,30 +2,30 @@
 //! paper's two-machine deployment (§6.2).
 //!
 //! [`StorageClient`] speaks the write-wait-ack / read-wait-reply flow of
-//! [`fidr_nic::protocol`] over one TCP connection, reassembling server
-//! replies through its own [`fidr_nic::FramedCodec`].
-//! [`ClusterClient`] fans the same API out across a sharded serving
+//! [`fidr_nic::protocol`] over one TCP connection, a
+//! [`crate::net::FrameConn`] like the one the server holds at the other
+//! end. [`ClusterClient`] fans the same API out across a sharded serving
 //! fleet, routing every block through a [`ShardRouter`].
-//! [`run_traffic`] drives N concurrent connections of interleaved
-//! write/read/verify traffic against a server — the harness both the
-//! `fidr client` subcommand and the loopback CI smoke test use —
+//! [`run_traffic`] drives N concurrent devices of interleaved
+//! write/read/verify traffic — the harness both the `fidr client`
+//! subcommand and the loopback CI smoke test use —
 //! [`run_open_loop`] drives the multi-tenant Poisson/Zipf serving shape
 //! of [`fidr_workload::OpenLoopSchedule`], and [`run_verify`] re-reads
 //! everything such a schedule wrote, proving zero acked-write loss
 //! across topology changes.
 
+use crate::net::{FrameConn, Recv};
 use bytes::Bytes;
 use fidr_chunk::Lba;
 use fidr_compress::ContentGenerator;
 use fidr_nic::protocol::{Message, ProtocolError, ShardMapAction, StatsFormat};
-use fidr_nic::{FramedCodec, ShardRouter};
+use fidr_nic::{ShardMapError, ShardRouter};
 use fidr_workload::{
     churn_tag, content_tag, ChurnKind, ChurnSchedule, ChurnSpec, OpenLoopKind, OpenLoopSchedule,
     OpenLoopSpec,
 };
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -85,11 +85,15 @@ impl From<ProtocolError> for ClientError {
     }
 }
 
+impl From<ShardMapError> for ClientError {
+    fn from(e: ShardMapError) -> Self {
+        ClientError::NoRoute(e.to_string())
+    }
+}
+
 /// One client connection with synchronous request/reply semantics.
 pub struct StorageClient {
-    stream: TcpStream,
-    codec: FramedCodec,
-    buf: Vec<u8>,
+    conn: FrameConn<TcpStream>,
 }
 
 impl StorageClient {
@@ -102,10 +106,21 @@ impl StorageClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(StorageClient {
-            stream,
-            codec: FramedCodec::new(),
-            buf: vec![0u8; 64 * 1024],
+            conn: FrameConn::new(stream),
         })
+    }
+
+    /// Sends `request` and blocks until the next whole reply frame.
+    fn request(&mut self, request: &Message) -> Result<Message, ClientError> {
+        self.conn.send(request)?;
+        loop {
+            match self.conn.recv()? {
+                Recv::Frame(reply) => return Ok(reply),
+                // Only a stream with a read timeout idles; keep waiting.
+                Recv::Idle => {}
+                Recv::Closed => return Err(ClientError::Disconnected),
+            }
+        }
     }
 
     /// Writes `data` at `lba` and waits for the acknowledgment
@@ -116,9 +131,7 @@ impl StorageClient {
     /// Any [`ClientError`]; [`ClientError::UnexpectedReply`] if the ack
     /// names a different LBA.
     pub fn write(&mut self, lba: Lba, data: Bytes) -> Result<(), ClientError> {
-        let frame = Message::Write { lba, data }.encode()?;
-        self.stream.write_all(&frame)?;
-        match self.recv()? {
+        match self.request(&Message::Write { lba, data })? {
             Message::WriteAck { lba: acked } if acked == lba => Ok(()),
             other => Err(ClientError::UnexpectedReply(other)),
         }
@@ -131,16 +144,14 @@ impl StorageClient {
     /// Any [`ClientError`]; [`ClientError::UnexpectedReply`] if the
     /// reply names a different LBA.
     pub fn read(&mut self, lba: Lba) -> Result<Vec<u8>, ClientError> {
-        let frame = Message::Read { lba }.encode()?;
-        self.stream.write_all(&frame)?;
-        match self.recv()? {
+        match self.request(&Message::Read { lba })? {
             Message::ReadReply { lba: got, data } if got == lba => Ok(data.to_vec()),
             other => Err(ClientError::UnexpectedReply(other)),
         }
     }
 
     /// Deletes the block at `lba` and waits for the acknowledgment
-    /// (delete-wait-ack; protocol v4).
+    /// (delete-wait-ack).
     ///
     /// # Errors
     ///
@@ -149,9 +160,7 @@ impl StorageClient {
     /// the server closing the connection, which surfaces as
     /// [`ClientError::Disconnected`].
     pub fn delete(&mut self, lba: Lba) -> Result<(), ClientError> {
-        let frame = Message::Delete { lba }.encode()?;
-        self.stream.write_all(&frame)?;
-        match self.recv()? {
+        match self.request(&Message::Delete { lba })? {
             Message::DeleteAck { lba: acked } if acked == lba => Ok(()),
             other => Err(ClientError::UnexpectedReply(other)),
         }
@@ -167,9 +176,7 @@ impl StorageClient {
     /// Any [`ClientError`]; [`ClientError::UnexpectedReply`] if the
     /// reply's format does not echo the request's.
     pub fn scrape(&mut self, format: StatsFormat) -> Result<Bytes, ClientError> {
-        let frame = Message::StatsRequest { format }.encode()?;
-        self.stream.write_all(&frame)?;
-        match self.recv()? {
+        match self.request(&Message::StatsRequest { format })? {
             Message::StatsReply { format: got, body } if got == format => Ok(body),
             other => Err(ClientError::UnexpectedReply(other)),
         }
@@ -190,31 +197,15 @@ impl StorageClient {
         action: ShardMapAction,
         map: &str,
     ) -> Result<(u64, String), ClientError> {
-        let frame = Message::ShardMapRequest {
+        let request = Message::ShardMapRequest {
             action,
             map: Bytes::from(map.to_string()),
-        }
-        .encode()?;
-        self.stream.write_all(&frame)?;
-        match self.recv()? {
+        };
+        match self.request(&request)? {
             Message::ShardMapReply { generation, map } => {
                 Ok((generation, String::from_utf8_lossy(&map).into_owned()))
             }
             other => Err(ClientError::UnexpectedReply(other)),
-        }
-    }
-
-    /// Blocks until the next whole reply frame arrives.
-    fn recv(&mut self) -> Result<Message, ClientError> {
-        loop {
-            if let Some(msg) = self.codec.next_frame()? {
-                return Ok(msg);
-            }
-            let n = self.stream.read(&mut self.buf)?;
-            if n == 0 {
-                return Err(ClientError::Disconnected);
-            }
-            self.codec.feed(&self.buf[..n]);
         }
     }
 }
@@ -318,11 +309,7 @@ impl ClusterClient {
         }
         let mut conns = BTreeMap::new();
         for node in router.nodes() {
-            let addr: SocketAddr = node
-                .addr
-                .parse()
-                .map_err(|_| ClientError::NoRoute(format!("bad node addr {}", node.addr)))?;
-            conns.insert(node.id, StorageClient::connect(addr)?);
+            conns.insert(node.id, StorageClient::connect(node.socket_addr()?)?);
         }
         Ok(ClusterClient { router, conns })
     }
@@ -400,6 +387,22 @@ impl BlockDevice for ClusterClient {
     }
 }
 
+/// A boxed device drives like the device inside it, so one factory can
+/// hand the harnesses either topology.
+impl BlockDevice for Box<dyn BlockDevice + Send> {
+    fn write_block(&mut self, lba: Lba, data: Bytes) -> Result<(), ClientError> {
+        (**self).write_block(lba, data)
+    }
+
+    fn read_block(&mut self, lba: Lba) -> Result<Vec<u8>, ClientError> {
+        (**self).read_block(lba)
+    }
+
+    fn delete_block(&mut self, lba: Lba) -> Result<(), ClientError> {
+        (**self).delete_block(lba)
+    }
+}
+
 /// Outcome of one traffic or verification drive.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficReport {
@@ -443,77 +446,63 @@ impl TrafficReport {
     }
 }
 
-/// Drives `conns` concurrent connections of interleaved write/read
-/// traffic, `ops` requests each, against the server at `addr`.
+/// Drives `conns` concurrent devices of interleaved write/read traffic,
+/// `ops` requests each; `factory` builds each device (a
+/// [`StorageClient`] for one node, a [`ClusterClient`] for a fleet — the
+/// traffic shape is identical, only the routing differs, so reports and
+/// read-back contents are directly comparable).
 ///
-/// Each connection owns a disjoint LBA range and deterministic
+/// Each device owns a disjoint LBA range and deterministic
 /// (seed-derived) chunk contents, so every read — about one in three
 /// ops, always of a previously written LBA — verifies byte-exactly
-/// against what *that* connection wrote. Duplicate content across
-/// connections (the tag space is shared) keeps the dedup pipeline busy.
+/// against what *that* device wrote. Duplicate content across devices
+/// (the tag space is shared) keeps the dedup pipeline busy.
 ///
 /// # Errors
 ///
-/// The first [`ClientError`] of any connection, after all connections
-/// finish or fail.
-pub fn run_traffic(
-    addr: SocketAddr,
+/// The first [`ClientError`] of any worker (including device
+/// construction), after all workers finish or fail.
+pub fn run_traffic<D, F>(
+    factory: F,
     conns: usize,
     ops: usize,
     seed: u64,
-) -> Result<TrafficReport, ClientError> {
-    let mut joined = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for conn_id in 0..conns as u64 {
-            handles.push(scope.spawn(move || {
-                let mut client = StorageClient::connect(addr)?;
-                drive_device(&mut client, conn_id, ops, seed)
-            }));
-        }
-        for h in handles {
-            joined.push(h.join().expect("client thread panicked"));
-        }
-    });
-    let mut total = TrafficReport::default();
-    for outcome in joined {
-        total.merge(outcome?);
-    }
-    Ok(total)
+) -> Result<TrafficReport, ClientError>
+where
+    D: BlockDevice + Send,
+    F: FnMut() -> Result<D, ClientError>,
+{
+    run_workers(factory, conns, |conn_id, dev| {
+        drive_device(dev, conn_id as u64, ops, seed)
+    })
 }
 
-/// [`run_traffic`], fanned out across a sharded fleet: every worker
-/// routes each block through its own [`ClusterClient`] over `router`.
-/// The traffic shape (LBA ranges, contents, read-verify cadence) is
-/// *identical* to the single-node drive — only the routing differs — so
-/// reports and read-back contents are directly comparable.
-///
-/// # Errors
-///
-/// The first [`ClientError`] of any worker, after all workers finish or
-/// fail.
-pub fn run_cluster_traffic(
-    router: &ShardRouter,
-    conns: usize,
-    ops: usize,
-    seed: u64,
-) -> Result<TrafficReport, ClientError> {
-    let mut joined = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for conn_id in 0..conns as u64 {
-            let router = router.clone();
-            handles.push(scope.spawn(move || {
-                let mut client = ClusterClient::connect(router)?;
-                drive_device(&mut client, conn_id, ops, seed)
-            }));
-        }
-        for h in handles {
-            joined.push(h.join().expect("client thread panicked"));
-        }
+/// Builds `conns` devices with `factory`, runs `work(worker index,
+/// device)` on a thread per device — which drops its device, closing the
+/// connection, as soon as it is done — and merges the reports.
+fn run_workers<D, F, W>(mut factory: F, conns: usize, work: W) -> Result<TrafficReport, ClientError>
+where
+    D: BlockDevice + Send,
+    F: FnMut() -> Result<D, ClientError>,
+    W: Fn(usize, &mut D) -> Result<TrafficReport, ClientError> + Sync,
+{
+    let devices = (0..conns)
+        .map(|_| factory())
+        .collect::<Result<Vec<D>, _>>()?;
+    let outcomes = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = devices
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut dev)| scope.spawn(move || work(worker, &mut dev)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client worker panicked"))
+            .collect::<Vec<_>>()
     });
     let mut total = TrafficReport::default();
-    for outcome in joined {
+    for outcome in outcomes {
         total.merge(outcome?);
     }
     Ok(total)
@@ -578,7 +567,7 @@ fn tenant_lba(tenant: u64, offset: u64, stream_shift: u32) -> Lba {
 /// The first [`ClientError`] of any worker (including device
 /// construction), after all workers finish or fail.
 pub fn run_open_loop<D, F>(
-    mut factory: F,
+    factory: F,
     conns: usize,
     spec: OpenLoopSpec,
     stream_shift: u32,
@@ -597,60 +586,39 @@ where
         t += op.delay_ns;
         arrivals.push(t);
     }
-    let mut devices = Vec::with_capacity(conns);
-    for _ in 0..conns {
-        devices.push(factory()?);
-    }
     let seed = spec.seed;
-    let ops = schedule.ops();
-    let arrivals = &arrivals;
-    let mut joined: Vec<Result<TrafficReport, ClientError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (worker, mut dev) in devices.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let gen = ContentGenerator::new(0.5);
-                let start = Instant::now();
-                let mut report = TrafficReport::default();
-                for (i, op) in ops.iter().enumerate() {
-                    if op.tenant as usize % conns != worker {
-                        continue;
-                    }
-                    let due = Duration::from_nanos(arrivals[i]);
-                    let elapsed = start.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                    match op.kind {
-                        OpenLoopKind::Write { offset } => {
-                            let tag = content_tag(seed, op.tenant, offset);
-                            let data = Bytes::from(gen.chunk(tag, 4096));
-                            dev.write_block(tenant_lba(op.tenant, offset, stream_shift), data)?;
-                            report.writes += 1;
-                        }
-                        OpenLoopKind::Read { offset } => {
-                            let got =
-                                dev.read_block(tenant_lba(op.tenant, offset, stream_shift))?;
-                            report.reads += 1;
-                            let tag = content_tag(seed, op.tenant, offset);
-                            if got != gen.chunk(tag, 4096) {
-                                report.verify_failures += 1;
-                            }
-                        }
+    run_workers(factory, conns, |worker, dev| {
+        let gen = ContentGenerator::new(0.5);
+        let start = Instant::now();
+        let mut report = TrafficReport::default();
+        for (op, &due_ns) in schedule.ops().iter().zip(&arrivals) {
+            if op.tenant as usize % conns != worker {
+                continue;
+            }
+            let due = Duration::from_nanos(due_ns);
+            let elapsed = start.elapsed();
+            if due > elapsed {
+                std::thread::sleep(due - elapsed);
+            }
+            match op.kind {
+                OpenLoopKind::Write { offset } => {
+                    let tag = content_tag(seed, op.tenant, offset);
+                    let data = Bytes::from(gen.chunk(tag, 4096));
+                    dev.write_block(tenant_lba(op.tenant, offset, stream_shift), data)?;
+                    report.writes += 1;
+                }
+                OpenLoopKind::Read { offset } => {
+                    let got = dev.read_block(tenant_lba(op.tenant, offset, stream_shift))?;
+                    report.reads += 1;
+                    let tag = content_tag(seed, op.tenant, offset);
+                    if got != gen.chunk(tag, 4096) {
+                        report.verify_failures += 1;
                     }
                 }
-                Ok(report)
-            }));
+            }
         }
-        for h in handles {
-            joined.push(h.join().expect("open-loop worker panicked"));
-        }
-    });
-    let mut total = TrafficReport::default();
-    for outcome in joined {
-        total.merge(outcome?);
-    }
-    Ok(total)
+        Ok(report)
+    })
 }
 
 /// Re-reads **every** block an [`OpenLoopSchedule`] run of `spec` wrote

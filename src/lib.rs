@@ -33,6 +33,7 @@
 pub mod cli;
 pub mod client;
 pub mod experiment;
+pub mod net;
 pub mod router;
 pub mod server;
 

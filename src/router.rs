@@ -2,7 +2,7 @@
 //! behind `fidr reshard`.
 //!
 //! A [`Router`] is a thin proxy: it terminates client connections
-//! speaking the §6.2 wire protocol, routes every write/read to the
+//! speaking the §6.2 wire protocol, routes every write/read/delete to the
 //! owning node of its [`ShardRouter`] map (one backend
 //! [`ClusterClient`] per accepted connection, so backend ordering
 //! matches each client's issue order), and answers
@@ -20,18 +20,13 @@
 //! break that.
 
 use crate::client::{ClientError, ClusterClient, StorageClient};
+use crate::net::{FrameConn, ListenState, Listener, Recv};
 use fidr_nic::protocol::{Message, ShardMapAction};
-use fidr_nic::{FramedCodec, ShardNode, ShardRouter};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fidr_nic::{ShardNode, ShardRouter};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Accept-loop poll cadence while idle (the listener is non-blocking so
-/// shutdown and conns-limit drain stay responsive).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Configuration of one front-tier instance.
 #[derive(Debug, Clone)]
@@ -58,21 +53,21 @@ pub struct RouterReport {
     pub writes_routed: u64,
     /// Reads routed to a backend node.
     pub reads_routed: u64,
+    /// Deletes routed to a backend node.
+    pub deletes_routed: u64,
     /// Shard-map Get requests answered from the local map.
     pub map_gets: u64,
     /// Connections closed on a protocol violation or backend failure.
     pub conn_errors: u64,
 }
 
-/// Counters and the shutdown flag shared by the accept loop and every
-/// connection thread.
+/// The map and counters shared by every connection thread.
 struct RouterShared {
     router: ShardRouter,
-    shutdown: AtomicBool,
-    connections: AtomicU64,
-    active: AtomicU64,
+    listen: Arc<ListenState>,
     writes_routed: AtomicU64,
     reads_routed: AtomicU64,
+    deletes_routed: AtomicU64,
     map_gets: AtomicU64,
     conn_errors: AtomicU64,
 }
@@ -81,11 +76,10 @@ struct RouterShared {
 /// returns a [`RouterHandle`].
 pub struct Router;
 
-/// Handle to a running [`Router`].
+/// Handle to a running [`Router`]. Dropping it stops the front tier.
 pub struct RouterHandle {
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<RouterShared>,
-    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Router {
@@ -103,142 +97,73 @@ impl Router {
                 "shard map has no nodes to route to",
             ));
         }
-        let listener = TcpListener::bind(cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
             router: cfg.router,
-            shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            active: AtomicU64::new(0),
+            listen: Arc::default(),
             writes_routed: AtomicU64::new(0),
             reads_routed: AtomicU64::new(0),
+            deletes_routed: AtomicU64::new(0),
             map_gets: AtomicU64::new(0),
             conn_errors: AtomicU64::new(0),
         });
-        let accept_shared = Arc::clone(&shared);
-        let conns_limit = cfg.conns_limit;
-        let accept_thread =
-            std::thread::spawn(move || accept_loop(&accept_shared, &listener, conns_limit));
-        Ok(RouterHandle {
-            addr,
-            shared,
-            accept_thread: Some(accept_thread),
-        })
+        let conn_shared = Arc::clone(&shared);
+        let listener = Listener::spawn(
+            cfg.addr,
+            cfg.conns_limit,
+            Arc::clone(&shared.listen),
+            || {},
+            move |stream| {
+                if serve_route_conn(&conn_shared, stream).is_err() {
+                    conn_shared.conn_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        )?;
+        Ok(RouterHandle { listener, shared })
     }
 }
 
 impl RouterHandle {
     /// The bound address (the real port when spawned with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
-    /// Stops accepting, waits for in-flight connections and returns the
-    /// final report.
-    pub fn shutdown(mut self) -> RouterReport {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.join()
+    /// Stops accepting, waits for in-flight connections — an idle one
+    /// leaves within a read timeout — and returns the final report.
+    pub fn shutdown(self) -> RouterReport {
+        self.shared.listen.shutdown.store(true, Ordering::Relaxed);
+        self.wait()
     }
 
     /// Waits for the conns-limit drain (or a shutdown from another
     /// handle path) and returns the final report.
     pub fn wait(mut self) -> RouterReport {
-        self.join()
-    }
-
-    fn join(&mut self) -> RouterReport {
-        if let Some(t) = self.accept_thread.take() {
-            let conn_threads = t.join().expect("router accept thread panicked");
-            for c in conn_threads {
-                let _ = c.join();
-            }
-        }
+        self.listener.join();
         let m = &self.shared;
         RouterReport {
-            connections: m.connections.load(Ordering::Relaxed),
+            connections: m.listen.accepted.load(Ordering::Relaxed),
             writes_routed: m.writes_routed.load(Ordering::Relaxed),
             reads_routed: m.reads_routed.load(Ordering::Relaxed),
+            deletes_routed: m.deletes_routed.load(Ordering::Relaxed),
             map_gets: m.map_gets.load(Ordering::Relaxed),
             conn_errors: m.conn_errors.load(Ordering::Relaxed),
         }
     }
 }
 
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.join();
-    }
-}
-
-/// Accepts connections until shutdown (or until `conns_limit`
-/// connections were accepted *and* all of them finished). Mirrors the
-/// storage server's accept loop.
-fn accept_loop(
-    shared: &Arc<RouterShared>,
-    listener: &TcpListener,
-    conns_limit: Option<u64>,
-) -> Vec<JoinHandle<()>> {
-    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(limit) = conns_limit {
-            if shared.connections.load(Ordering::Relaxed) >= limit {
-                if shared.active.load(Ordering::Relaxed) == 0 {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                shared.active.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                conn_threads.push(std::thread::spawn(move || {
-                    if serve_route_conn(&conn_shared, stream).is_err() {
-                        conn_shared.conn_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    conn_shared.active.fetch_sub(1, Ordering::Relaxed);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    conn_threads
-}
-
-/// Serves one fronted connection: decode a frame, route it, relay the
+/// Serves one fronted connection: receive a frame, route it, relay the
 /// reply. Returns `Err` on anything that forced a non-clean close.
-fn serve_route_conn(shared: &Arc<RouterShared>, mut stream: TcpStream) -> Result<(), ClientError> {
-    stream.set_nodelay(true)?;
+fn serve_route_conn(shared: &Arc<RouterShared>, stream: TcpStream) -> Result<(), ClientError> {
+    let mut conn = FrameConn::accepted(stream)?;
     // One backend fan-out per fronted connection: replies come back on
     // the connection that asked, in issue order.
     let mut backend = ClusterClient::connect(shared.router.clone())?;
-    let mut codec = FramedCodec::new();
-    let mut buf = vec![0u8; 64 * 1024];
     loop {
-        let msg = loop {
-            match codec.next_frame() {
-                Ok(Some(msg)) => break msg,
-                Ok(None) => {}
-                Err(e) => return Err(e.into()),
-            }
-            let n = stream.read(&mut buf)?;
-            if n == 0 {
-                // Clean close only at a frame boundary.
-                return if codec.pending_bytes() == 0 {
-                    Ok(())
-                } else {
-                    Err(ClientError::Disconnected)
-                };
-            }
-            codec.feed(&buf[..n]);
+        let msg = match conn.recv()? {
+            Recv::Frame(msg) => msg,
+            Recv::Idle if !shared.listen.shutdown.load(Ordering::Relaxed) => continue,
+            // A clean close, or a quiet peer while the front tier drains.
+            Recv::Idle | Recv::Closed => return Ok(()),
         };
         let reply = match msg {
             Message::Write { lba, data } => {
@@ -253,6 +178,11 @@ fn serve_route_conn(shared: &Arc<RouterShared>, mut stream: TcpStream) -> Result
                     lba,
                     data: bytes::Bytes::from(data),
                 }
+            }
+            Message::Delete { lba } => {
+                backend.delete(lba)?;
+                shared.deletes_routed.fetch_add(1, Ordering::Relaxed);
+                Message::DeleteAck { lba }
             }
             Message::ShardMapRequest {
                 action: ShardMapAction::Get,
@@ -269,7 +199,7 @@ fn serve_route_conn(shared: &Arc<RouterShared>, mut stream: TcpStream) -> Result
             // a storage node refuses a stale install.
             other => return Err(ClientError::UnexpectedReply(other)),
         };
-        stream.write_all(&reply.encode()?)?;
+        conn.send(&reply)?;
     }
 }
 
@@ -285,11 +215,7 @@ fn serve_route_conn(shared: &Arc<RouterShared>, mut stream: TcpStream) -> Result
 pub fn push_map(map: &ShardRouter) -> Result<(), ClientError> {
     let doc = map.encode();
     for node in map.nodes() {
-        let addr: SocketAddr = node
-            .addr
-            .parse()
-            .map_err(|_| ClientError::NoRoute(format!("bad node addr {}", node.addr)))?;
-        let mut conn = StorageClient::connect(addr)?;
+        let mut conn = StorageClient::connect(node.socket_addr()?)?;
         conn.shard_map(ShardMapAction::Set, &doc)?;
     }
     Ok(())
@@ -306,8 +232,7 @@ pub fn push_map(map: &ShardRouter) -> Result<(), ClientError> {
 /// push failure.
 pub fn join_node(current: &ShardRouter, node: ShardNode) -> Result<ShardRouter, ClientError> {
     let mut next = current.clone();
-    next.join(node)
-        .map_err(|e| ClientError::NoRoute(e.to_string()))?;
+    next.join(node)?;
     push_map(&next)?;
     Ok(next)
 }
@@ -326,14 +251,8 @@ pub fn join_node(current: &ShardRouter, node: ShardNode) -> Result<ShardRouter, 
 /// connect or install failure.
 pub fn drain_node(current: &ShardRouter, id: u64) -> Result<ShardRouter, ClientError> {
     let mut next = current.clone();
-    let gone = next
-        .drain(id)
-        .map_err(|e| ClientError::NoRoute(e.to_string()))?;
-    let addr: SocketAddr = gone
-        .addr
-        .parse()
-        .map_err(|_| ClientError::NoRoute(format!("bad node addr {}", gone.addr)))?;
-    let mut departing = StorageClient::connect(addr)?;
+    let gone = next.drain(id)?;
+    let mut departing = StorageClient::connect(gone.socket_addr()?)?;
     departing.shard_map(ShardMapAction::Drain, &next.encode())?;
     push_map(&next)?;
     Ok(next)
@@ -360,5 +279,5 @@ pub fn map_from_addrs(addrs: &[String]) -> Result<ShardRouter, ClientError> {
             addr: addr.clone(),
         })
         .collect();
-    ShardRouter::from_nodes(nodes).map_err(|e| ClientError::NoRoute(e.to_string()))
+    Ok(ShardRouter::from_nodes(nodes)?)
 }

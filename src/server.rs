@@ -4,9 +4,10 @@
 //! The paper's prototype (§6.2) is a two-machine deployment speaking the
 //! simplified read/write/acknowledgment protocol of
 //! [`fidr_nic::protocol`]. This module stands that deployment up as a
-//! process: a [`Server`] accepts N concurrent client connections,
-//! reassembles frames per connection through [`fidr_nic::FramedCodec`],
-//! and feeds writes/reads into one shared [`FidrSystem`] behind a
+//! process: a [`Server`] accepts N concurrent client connections (the
+//! accept loop and the per-connection frame transport are
+//! [`crate::net`]'s, shared with the front tier and the client), and
+//! feeds writes/reads into one shared [`FidrSystem`] behind a
 //! bounded in-flight queue (admission blocks — and therefore stops
 //! reading from the socket — when the backend falls behind, which is TCP
 //! backpressure).
@@ -41,6 +42,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::client::{ClientError, StorageClient};
+use crate::net::{FrameConn, ListenState, Listener, Recv};
 use bytes::Bytes;
 use fidr_core::{FidrConfig, FidrError, FidrSystem, DEFAULT_STREAM_SHIFT};
 use fidr_metrics::{
@@ -48,24 +51,16 @@ use fidr_metrics::{
     WindowedHistogram, TIMESERIES_SCHEMA_ID,
 };
 use fidr_nic::protocol::{Message, ShardMapAction, StatsFormat};
-use fidr_nic::{FramedCodec, ShardRouter};
+use fidr_nic::ShardRouter;
 use fidr_tables::BUCKET_BYTES;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a connection thread blocks in `read` before re-checking the
-/// shutdown flag; bounds the drain latency of [`ServerHandle::shutdown`].
-const READ_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Accept-loop poll interval (the listener runs non-blocking so the
-/// loop can notice shutdown and connection-limit drain).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Time-series samples retained by the sampler ring (oldest dropped).
 /// At the default 1 s cadence this is four minutes of history.
@@ -196,8 +191,6 @@ impl Default for ServerConfig {
 /// Atomic `server.*` counters shared by every connection thread.
 #[derive(Debug, Default)]
 struct ServerMetrics {
-    connections_accepted: AtomicU64,
-    connections_active: AtomicU64,
     connections_closed_clean: AtomicU64,
     connections_closed_error: AtomicU64,
     frames_decoded: AtomicU64,
@@ -220,16 +213,10 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn export(&self, out: &mut MetricsSnapshot, queue_depth: u64) {
+    fn export(&self, out: &mut MetricsSnapshot, listen: &ListenState, queue_depth: u64) {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        out.set_counter(
-            "server.connections.accepted.count",
-            c(&self.connections_accepted),
-        );
-        out.set_gauge(
-            "server.connections.active.count",
-            c(&self.connections_active) as f64,
-        );
+        out.set_counter("server.connections.accepted.count", c(&listen.accepted));
+        out.set_gauge("server.connections.active.count", c(&listen.active) as f64);
         out.set_counter(
             "server.connections.closed_clean.count",
             c(&self.connections_closed_clean),
@@ -401,7 +388,9 @@ struct Shared {
     stall_seq: AtomicU64,
     corrupt: Option<CorruptFault>,
     corrupt_seq: AtomicU64,
-    shutdown: AtomicBool,
+    /// The listener's shutdown flag and connection counts; the sampler
+    /// watches the same flag, and a drain handoff sets it.
+    listen: Arc<ListenState>,
     queue_capacity: usize,
     /// GC cadence in acked deletes (0 = server-driven GC disabled).
     gc_every: u64,
@@ -507,7 +496,8 @@ impl Shared {
         let mut out = system.metrics();
         system.export_pool_metrics(&mut out);
         drop(system);
-        self.metrics.export(&mut out, self.queue_depth());
+        self.metrics
+            .export(&mut out, &self.listen, self.queue_depth());
         self.export_streams(&mut out);
         out
     }
@@ -896,9 +886,8 @@ pub struct Server;
 /// ways it ends ([`shutdown`](ServerHandle::shutdown) /
 /// [`wait`](ServerHandle::wait)).
 pub struct ServerHandle {
-    addr: SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     sampler_thread: Option<JoinHandle<()>>,
 }
 
@@ -911,9 +900,6 @@ impl Server {
     ///
     /// Propagates the bind failure.
     pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             system: Mutex::new(FidrSystem::new(cfg.system.clone())),
             metrics: ServerMetrics::default(),
@@ -922,7 +908,7 @@ impl Server {
             stall_seq: AtomicU64::new(0),
             corrupt: cfg.corrupt,
             corrupt_seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
+            listen: Arc::default(),
             queue_capacity: cfg.queue_capacity.max(1),
             gc_every: cfg.gc_every,
             gc_threshold: cfg.gc_threshold,
@@ -932,19 +918,22 @@ impl Server {
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
         });
-        let accept_shared = Arc::clone(&shared);
-        let conns_limit = cfg.conns_limit;
-        let accept_thread =
-            std::thread::spawn(move || accept_loop(&accept_shared, &listener, conns_limit));
+        let (idle_shared, conn_shared) = (Arc::clone(&shared), Arc::clone(&shared));
+        let listener = Listener::spawn(
+            cfg.addr,
+            cfg.conns_limit,
+            Arc::clone(&shared.listen),
+            move || idle_shared.idle_scrub(),
+            move |stream| serve_connection(&conn_shared, stream),
+        )?;
         let sampler_thread = (cfg.sample_ms > 0).then(|| {
             let sampler_shared = Arc::clone(&shared);
             let sample_ms = cfg.sample_ms;
             std::thread::spawn(move || sampler_loop(&sampler_shared, sample_ms))
         });
         Ok(ServerHandle {
-            addr,
+            listener,
             shared,
-            accept_thread: Some(accept_thread),
             sampler_thread,
         })
     }
@@ -956,7 +945,7 @@ fn sampler_loop(shared: &Arc<Shared>, sample_ms: u64) {
     let tick = Duration::from_millis(sample_ms);
     let poll = Duration::from_millis(sample_ms.clamp(1, 25));
     let mut last = Instant::now();
-    while !shared.shutdown.load(Ordering::Relaxed) {
+    while !shared.listen.shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(poll);
         if last.elapsed() >= tick {
             shared.sample_tick();
@@ -965,149 +954,58 @@ fn sampler_loop(shared: &Arc<Shared>, sample_ms: u64) {
     }
 }
 
-/// Accepts connections until shutdown (or until `conns_limit`
-/// connections were accepted *and* all of them finished). Returns the
-/// connection threads for the handle to join.
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    conns_limit: Option<u64>,
-) -> Vec<JoinHandle<()>> {
-    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        let accepted = shared.metrics.connections_accepted.load(Ordering::Relaxed);
-        if let Some(limit) = conns_limit {
-            if accepted >= limit {
-                // Past the limit: drain instead of accepting more.
-                if shared.metrics.connections_active.load(Ordering::Relaxed) == 0 {
-                    break;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared
-                    .metrics
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .metrics
-                    .connections_active
-                    .fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                conn_threads.push(std::thread::spawn(move || {
-                    serve_connection(&conn_shared, stream);
-                    conn_shared
-                        .metrics
-                        .connections_active
-                        .fetch_sub(1, Ordering::Relaxed);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                shared.idle_scrub();
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            // Transient accept errors (peer reset mid-handshake) are not
-            // fatal to the server.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-    conn_threads
-}
-
-/// Why one connection ended.
-enum ConnEnd {
-    /// Peer closed cleanly at a frame boundary.
-    Clean,
-    /// Protocol violation, mid-frame disconnect, IO error or backend
-    /// failure.
-    Error,
-}
-
-/// Runs one connection to completion: read → reassemble → serve → reply.
-fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let end = serve_connection_inner(shared, &mut stream);
-    match end {
-        ConnEnd::Clean => shared
-            .metrics
-            .connections_closed_clean
-            .fetch_add(1, Ordering::Relaxed),
-        ConnEnd::Error => shared
-            .metrics
-            .connections_closed_error
-            .fetch_add(1, Ordering::Relaxed),
+/// Runs one connection to completion and counts how it ended: clean
+/// (the peer closed at a frame boundary, or went quiet during a drain)
+/// or in error (protocol violation, mid-frame disconnect, IO error,
+/// backend failure).
+fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    let m = &shared.metrics;
+    let clean = FrameConn::accepted(stream).is_ok_and(|mut conn| serve_frames(shared, &mut conn));
+    let closed = if clean {
+        &m.connections_closed_clean
+    } else {
+        &m.connections_closed_error
     };
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    closed.fetch_add(1, Ordering::Relaxed);
 }
 
-fn serve_connection_inner(shared: &Arc<Shared>, stream: &mut TcpStream) -> ConnEnd {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
-        return ConnEnd::Error;
-    }
-    let mut codec = FramedCodec::new();
-    let mut buf = vec![0u8; 64 * 1024];
+/// Receive → serve → reply until the connection ends; `true` when it
+/// ended cleanly.
+fn serve_frames(shared: &Arc<Shared>, conn: &mut FrameConn<TcpStream>) -> bool {
+    let m = &shared.metrics;
+    let mut rx_counted = 0;
     loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF. A partial frame left in the codec means the peer
-                // died mid-frame: that frame is lost for good.
-                if codec.pending_bytes() > 0 {
-                    shared
-                        .metrics
-                        .frames_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    return ConnEnd::Error;
-                }
-                return ConnEnd::Clean;
-            }
-            Ok(n) => {
-                shared
-                    .metrics
-                    .rx_bytes
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                codec.feed(&buf[..n]);
-                loop {
-                    match codec.next_frame() {
-                        Ok(Some(msg)) => {
-                            shared
-                                .metrics
-                                .frames_decoded
-                                .fetch_add(1, Ordering::Relaxed);
-                            if !serve_frame(shared, stream, msg) {
-                                return ConnEnd::Error;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Bad opcode / hostile length: the stream has
-                            // no recoverable frame boundary. Close only
-                            // this connection.
-                            shared
-                                .metrics
-                                .frames_rejected
-                                .fetch_add(1, Ordering::Relaxed);
-                            return ConnEnd::Error;
-                        }
-                    }
+        let received = conn.recv();
+        m.rx_bytes
+            .fetch_add(conn.rx_bytes() - rx_counted, Ordering::Relaxed);
+        rx_counted = conn.rx_bytes();
+        match received {
+            Ok(Recv::Frame(msg)) => {
+                m.frames_decoded.fetch_add(1, Ordering::Relaxed);
+                if !serve_frame(shared, conn, msg) {
+                    return false;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shared.shutdown.load(Ordering::Relaxed) {
+            Ok(Recv::Idle) => {
+                if shared.listen.shutdown.load(Ordering::Relaxed) {
                     // Drain: the peer went quiet and the server is
                     // leaving; no frame is in flight at this point.
-                    return ConnEnd::Clean;
+                    return true;
                 }
                 // The peer is between requests: use the lull for
                 // deferred-dedup scrubbing.
                 shared.idle_scrub();
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ConnEnd::Error,
+            Ok(Recv::Closed) => return true,
+            // A socket error just ends the connection.
+            Err(ClientError::Io(_)) => return false,
+            Err(_) => {
+                // Bad opcode / hostile length, or the peer died
+                // mid-frame: the stream has no recoverable frame
+                // boundary. Close only this connection.
+                m.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
         }
     }
 }
@@ -1115,7 +1013,7 @@ fn serve_connection_inner(shared: &Arc<Shared>, stream: &mut TcpStream) -> ConnE
 /// Admits one decoded frame through the bounded queue, applies it to the
 /// shared system and writes the reply. Returns `false` when the
 /// connection must close (semantic violation, backend error, dead peer).
-fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, msg: Message) -> bool {
+fn serve_frame(shared: &Arc<Shared>, conn: &mut FrameConn<TcpStream>, msg: Message) -> bool {
     let mut drain_after = false;
     let reply = match msg {
         Message::Write { lba, data } => {
@@ -1228,24 +1126,21 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, msg: Message) -> bo
             return false;
         }
     };
-    let frame = match reply.encode() {
-        Ok(frame) => frame,
-        // Unreachable for replies we build (reads return one chunk), but
-        // a protocol bound must not panic the connection thread.
-        Err(_) => return false,
-    };
-    if stream.write_all(&frame).is_err() {
+    // An encode failure is unreachable for replies we build (reads
+    // return one chunk), but a protocol bound must not panic the
+    // connection thread; a dead peer fails the write.
+    let Ok(sent) = conn.send(&reply) else {
         return false;
-    }
+    };
     shared
         .metrics
         .tx_bytes
-        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        .fetch_add(sent as u64, Ordering::Relaxed);
     if drain_after {
         // The handoff is acked; ride the existing graceful-drain path
         // (accept loop stops, connections wind down, handle.wait()
         // flushes and exports).
-        shared.shutdown.store(true, Ordering::Relaxed);
+        shared.listen.shutdown.store(true, Ordering::Relaxed);
     }
     true
 }
@@ -1312,7 +1207,7 @@ fn serve_shard_map(shared: &Arc<Shared>, action: ShardMapAction, map: &[u8]) -> 
 /// enumerate-read-forward-delete sequence cannot race new writes.
 fn rehome_blocks(shared: &Arc<Shared>, map: &ShardRouter) -> Result<u64, FidrError> {
     // Collect the moved blocks under the system lock...
-    let mut outbound: Vec<(fidr_chunk::Lba, String, Vec<u8>)> = Vec::new();
+    let mut outbound: Vec<(fidr_chunk::Lba, SocketAddr, Vec<u8>)> = Vec::new();
     {
         let mut system = shared.system.lock().expect("system lock");
         // Writes batched in the NIC buffer (and deferred-dedup debt)
@@ -1328,7 +1223,9 @@ fn rehome_blocks(shared: &Arc<Shared>, map: &ShardRouter) -> Result<u64, FidrErr
             if owner.id == shared.node_id {
                 continue;
             }
-            let addr = owner.addr.clone();
+            let addr = owner
+                .socket_addr()
+                .map_err(|e| FidrError::Io(format!("rehome: {e}")))?;
             let data = system.read(lba)?;
             outbound.push((lba, addr, data));
         }
@@ -1336,19 +1233,15 @@ fn rehome_blocks(shared: &Arc<Shared>, map: &ShardRouter) -> Result<u64, FidrErr
     // ...then forward them with the lock dropped, one connection per
     // destination, in LBA order (mapped_lbas is sorted), waiting for
     // each ack.
-    let mut conns: BTreeMap<String, crate::client::StorageClient> = BTreeMap::new();
+    let mut conns: BTreeMap<SocketAddr, StorageClient> = BTreeMap::new();
     let moved = outbound.len() as u64;
     let mut acked: Vec<fidr_chunk::Lba> = Vec::with_capacity(outbound.len());
     for (lba, addr, data) in outbound {
-        let io = |e: crate::client::ClientError| FidrError::Io(format!("rehome to {addr}: {e}"));
-        if !conns.contains_key(&addr) {
-            let sock: SocketAddr = addr
-                .parse()
-                .map_err(|_| FidrError::Io(format!("rehome: bad node addr {addr}")))?;
-            let client = crate::client::StorageClient::connect(sock).map_err(io)?;
-            conns.insert(addr.clone(), client);
-        }
-        let conn = conns.get_mut(&addr).expect("just inserted");
+        let io = |e: ClientError| FidrError::Io(format!("rehome to {addr}: {e}"));
+        let conn = match conns.entry(addr) {
+            Entry::Occupied(held) => held.into_mut(),
+            Entry::Vacant(slot) => slot.insert(StorageClient::connect(addr).map_err(io)?),
+        };
         conn.write(lba, Bytes::from(data)).map_err(io)?;
         acked.push(lba);
     }
@@ -1389,7 +1282,7 @@ fn apply_write(shared: &Arc<Shared>, lba: fidr_chunk::Lba, data: Bytes) -> Resul
 impl ServerHandle {
     /// The actually bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Live `fidr.metrics.v1` snapshot: the backend's full pipeline
@@ -1416,9 +1309,9 @@ impl ServerHandle {
     ///
     /// Propagates a backend flush failure (the snapshot is still
     /// retrievable via [`ServerHandle::metrics`] afterwards).
-    pub fn shutdown(mut self) -> Result<MetricsSnapshot, FidrError> {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.drain()
+    pub fn shutdown(self) -> Result<MetricsSnapshot, FidrError> {
+        self.shared.listen.shutdown.store(true, Ordering::Relaxed);
+        self.wait()
     }
 
     /// Blocks until the configured
@@ -1431,47 +1324,22 @@ impl ServerHandle {
     ///
     /// Propagates a backend flush failure.
     pub fn wait(mut self) -> Result<MetricsSnapshot, FidrError> {
-        self.drain()
-    }
-
-    fn drain(&mut self) -> Result<MetricsSnapshot, FidrError> {
-        if let Some(accept) = self.accept_thread.take() {
-            let conn_threads = accept.join().expect("accept thread panicked");
-            // The accept loop has stopped; make sure lingering
-            // connections and the sampler see the flag and wind down.
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-            for t in conn_threads {
-                t.join().expect("connection thread panicked");
-            }
-        }
+        // Joining the listener leaves the shutdown flag set, which is
+        // what stops the sampler.
+        self.listener.join();
         if let Some(sampler) = self.sampler_thread.take() {
             sampler.join().expect("sampler thread panicked");
         }
-        let mut system = self.shared.system.lock().expect("system lock");
-        system.flush()?;
-        let mut out = system.metrics();
-        system.export_pool_metrics(&mut out);
-        drop(system);
-        self.shared
-            .metrics
-            .export(&mut out, self.shared.queue_depth());
-        self.shared.export_streams(&mut out);
-        Ok(out)
+        self.shared.system.lock().expect("system lock").flush()?;
+        Ok(self.shared.merged_metrics())
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        // A dropped handle must not leak the accept loop, the sampler,
-        // or strand connection threads blocked on reads.
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept_thread.take() {
-            if let Ok(conn_threads) = accept.join() {
-                for t in conn_threads {
-                    let _ = t.join();
-                }
-            }
-        }
+        // The listener stops and joins its own threads when it drops;
+        // the sampler is ours not to leak.
+        self.shared.listen.shutdown.store(true, Ordering::Relaxed);
         if let Some(sampler) = self.sampler_thread.take() {
             let _ = sampler.join();
         }

@@ -6,31 +6,21 @@
 //! worker counts, and the client-side verification plumbing fails
 //! loudly (injected corruption, late port files).
 
+mod common;
+
 use bytes::Bytes;
+use common::{deterministic_drain_json, small_system};
 use fidr::chunk::Lba;
 use fidr::client::{
-    read_port_file, run_churn, run_churn_verify, run_cluster_traffic, run_open_loop, run_traffic,
-    run_verify, ClientError, ClusterClient, StorageClient,
+    read_port_file, run_churn, run_churn_verify, run_open_loop, run_traffic, run_verify,
+    ClientError, ClusterClient, StorageClient,
 };
 use fidr::core::{FidrConfig, DEFAULT_STREAM_SHIFT};
-use fidr::metrics::MetricsSnapshot;
 use fidr::nic::{ShardNode, ShardRouter};
-use fidr::router::{drain_node, push_map, Router, RouterConfig};
+use fidr::router::{drain_node, push_map, Router, RouterConfig, RouterHandle};
 use fidr::server::{CorruptFault, Server, ServerConfig, ServerHandle};
 use fidr::workload::{ChurnSchedule, ChurnSpec, OpenLoopSchedule, OpenLoopSpec};
-use std::time::Duration;
-
-/// A small, fast backend so batches and container seals actually happen
-/// within a few hundred ops.
-fn small_system() -> FidrConfig {
-    FidrConfig {
-        cache_lines: 64,
-        table_buckets: 1 << 12,
-        container_threshold: 64 << 10,
-        hash_batch: 8,
-        ..FidrConfig::default()
-    }
-}
+use std::time::{Duration, Instant};
 
 fn spawn_node(node_id: u64, workers: usize) -> ServerHandle {
     Server::spawn(ServerConfig {
@@ -56,6 +46,16 @@ fn fleet_map(handles: &[&ServerHandle]) -> ShardRouter {
         })
         .collect();
     ShardRouter::from_nodes(nodes).expect("bootstrap map")
+}
+
+/// A front tier over `map` that routes until shut down.
+fn spawn_front(map: &ShardRouter) -> RouterHandle {
+    Router::spawn(RouterConfig {
+        addr: "127.0.0.1:0".parse().unwrap(),
+        router: map.clone(),
+        conns_limit: None,
+    })
+    .expect("front tier")
 }
 
 #[test]
@@ -242,12 +242,7 @@ fn router_fanout_and_front_tier_read_back_identical_to_a_single_node() {
     // The stateless front tier serves the fleet over the *single-node*
     // protocol: a plain StorageClient pointed at it must read back every
     // block byte-identical to the standalone node.
-    let front = Router::spawn(RouterConfig {
-        addr: "127.0.0.1:0".parse().unwrap(),
-        router: map.clone(),
-        conns_limit: None,
-    })
-    .expect("front tier");
+    let front = spawn_front(&map);
     let mut via_solo = StorageClient::connect(solo_addr).expect("connect solo");
     let mut via_front = StorageClient::connect(front.local_addr()).expect("connect front tier");
     let mut blocks = 0u64;
@@ -263,7 +258,8 @@ fn router_fanout_and_front_tier_read_back_identical_to_a_single_node() {
         }
     }
     assert!(blocks > 0, "the schedule wrote something");
-    drop(via_front);
+    // `via_front` is still connected: an idle client must not hold the
+    // front tier's shutdown up.
     let routed = front.shutdown();
     assert_eq!(routed.reads_routed, blocks, "every read went through");
     assert_eq!(routed.conn_errors, 0);
@@ -273,16 +269,81 @@ fn router_fanout_and_front_tier_read_back_identical_to_a_single_node() {
     n2.shutdown().expect("drain node 2");
 }
 
-/// The `fidr.metrics.v1` drain export, minus the `pool.*` block: pool
-/// counters carry wall-clock busy/idle times and the worker count
-/// itself, which legitimately differ across `--workers`.
-fn deterministic_drain_json(metrics: &MetricsSnapshot) -> String {
-    metrics
-        .to_json()
-        .lines()
-        .filter(|line| !line.contains("\"pool."))
-        .collect::<Vec<_>>()
-        .join("\n")
+#[test]
+fn front_tier_stops_while_a_client_sits_idle_on_a_connection() {
+    let node = spawn_node(1, 1);
+    let map = fleet_map(&[&node]);
+    push_map(&map).expect("install map");
+    // Both ways a handle ends must return promptly with a client that
+    // has finished a write but not hung up.
+    for by_drop in [false, true] {
+        let front = spawn_front(&map);
+        let mut idle = StorageClient::connect(front.local_addr()).expect("connect front tier");
+        idle.write(Lba(by_drop as u64), Bytes::from(vec![3u8; 4096]))
+            .expect("routed write");
+        let asked = Instant::now();
+        if by_drop {
+            drop(front);
+        } else {
+            front.shutdown();
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "front tier took {:?} to stop around an idle client",
+            asked.elapsed()
+        );
+        drop(idle);
+    }
+    node.shutdown().expect("drain node");
+}
+
+#[test]
+fn churn_through_the_front_tier_routes_deletes_like_writes() {
+    let n1 = spawn_node(1, 1);
+    let n2 = spawn_node(2, 1);
+    let map = fleet_map(&[&n1, &n2]);
+    push_map(&map).expect("install map");
+    let front = spawn_front(&map);
+
+    // A plain single-node client: the front tier does all the routing.
+    let spec = ChurnSpec {
+        tenants: 2,
+        blocks_per_tenant: 40,
+        rounds: 3,
+        delete_pct: 40,
+        seed: 33,
+    };
+    let schedule = ChurnSchedule::generate(spec);
+    assert!(schedule.deletes() > 0, "spec must actually churn");
+    let mut client = StorageClient::connect(front.local_addr()).expect("connect front tier");
+    let report = run_churn(&mut client, spec, DEFAULT_STREAM_SHIFT).expect("churn completes");
+    assert_eq!(report.deletes, schedule.deletes(), "every delete acked");
+    run_churn_verify(&mut client, spec, DEFAULT_STREAM_SHIFT)
+        .expect("survivor reads succeed")
+        .ensure_verified()
+        .expect("survivors intact behind the front tier");
+    drop(client);
+    let routed = front.shutdown();
+    assert_eq!(routed.deletes_routed, schedule.deletes());
+    assert_eq!(routed.conn_errors, 0);
+
+    // The deletes landed on the owning nodes: asked directly, the fleet
+    // refuses to read a deleted block (each refusal costs the probe its
+    // connection, hence a fresh one per block).
+    let deleted = (0..spec.tenants)
+        .flat_map(|t| (0..spec.blocks_per_tenant).map(move |o| (t, o)))
+        .filter(|key| !schedule.survivors().contains_key(key));
+    for (tenant, offset) in deleted.take(4) {
+        let mut probe = ClusterClient::connect(map.clone()).expect("connect fleet");
+        assert!(
+            probe
+                .read(Lba((tenant << DEFAULT_STREAM_SHIFT) | offset))
+                .is_err(),
+            "tenant {tenant} offset {offset} was deleted but still reads"
+        );
+    }
+    n1.shutdown().expect("drain node 1");
+    n2.shutdown().expect("drain node 2");
 }
 
 #[test]
@@ -295,7 +356,8 @@ fn per_node_drain_exports_are_byte_stable_across_worker_counts() {
         let n2 = spawn_node(2, workers);
         let map = fleet_map(&[&n1, &n2]);
         push_map(&map).expect("install map");
-        let report = run_cluster_traffic(&map, 1, 120, 7).expect("traffic");
+        let report =
+            run_traffic(|| ClusterClient::connect(map.clone()), 1, 120, 7).expect("traffic");
         assert_eq!(report.verify_failures, 0);
         vec![
             deterministic_drain_json(&n1.shutdown().expect("drain node 1")),
@@ -322,7 +384,9 @@ fn injected_corruption_makes_verification_fail_loudly() {
     })
     .expect("bind loopback");
 
-    let report = run_traffic(handle.local_addr(), 2, 90, 13).expect("traffic completes");
+    let addr = handle.local_addr();
+    let report =
+        run_traffic(|| StorageClient::connect(addr), 2, 90, 13).expect("traffic completes");
     assert!(
         report.verify_failures > 0,
         "the injected corruption was never observed"

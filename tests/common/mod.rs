@@ -1,8 +1,10 @@
-//! A test-local view of what `FidrSystem` and `BaselineSystem` share, so
-//! one lifecycle test body runs against both engines (the same idea as
+//! Helpers shared by the integration tests: the small backend geometry,
+//! the deterministic slice of a drain export, and a test-local view of
+//! what `FidrSystem` and `BaselineSystem` share, so one lifecycle test
+//! body runs against both engines (the same idea as
 //! `benchmark/src/replay.rs::Engine`).
 
-// Each test binary uses its own subset of the trait.
+// Each test binary uses its own subset of this module.
 #![allow(dead_code)]
 
 use bytes::Bytes;
@@ -10,10 +12,36 @@ use fidr::baseline::{BaselineConfig, BaselineSystem};
 use fidr::chunk::Lba;
 use fidr::core::{FidrConfig, FidrError, FidrSystem, Snapshot};
 use fidr::faults::FaultPlan;
+use fidr::metrics::MetricsSnapshot;
 use fidr::tables::GcReport;
 
-/// The lifecycle surface of one engine at a small test geometry
-/// (64-line cache, 4 096 buckets, 64-KB containers).
+/// A small, fast backend (64-line cache, 4 096 buckets, 64-KB
+/// containers) so batches, container seals and compaction actually
+/// happen within a few hundred ops.
+pub fn small_system() -> FidrConfig {
+    FidrConfig {
+        cache_lines: 64,
+        table_buckets: 1 << 12,
+        container_threshold: 64 << 10,
+        hash_batch: 8,
+        ..FidrConfig::default()
+    }
+}
+
+/// The `fidr.metrics.v1` drain export, minus the `pool.*` block: pool
+/// counters carry wall-clock busy/idle times and the worker count
+/// itself, which legitimately differ across `--workers`.
+pub fn deterministic_drain_json(metrics: &MetricsSnapshot) -> String {
+    metrics
+        .to_json()
+        .lines()
+        .filter(|line| !line.contains("\"pool."))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The lifecycle surface of one engine at the [`small_system`]
+/// geometry.
 pub trait Engine: Sized {
     fn new(plan: FaultPlan) -> Self;
     fn restore(plan: FaultPlan, snapshot: Snapshot) -> Self;
@@ -29,12 +57,8 @@ pub trait Engine: Sized {
 
 fn fidr_cfg(plan: FaultPlan) -> FidrConfig {
     FidrConfig {
-        cache_lines: 64,
-        table_buckets: 1 << 12,
-        container_threshold: 64 << 10,
-        hash_batch: 8,
         faults: plan,
-        ..FidrConfig::default()
+        ..small_system()
     }
 }
 

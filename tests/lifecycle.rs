@@ -8,7 +8,10 @@
 //! produces byte-identical metrics and spans exports for any
 //! `--workers` value.
 
+mod common;
+
 use bytes::Bytes;
+use common::small_system;
 use fidr::chunk::Lba;
 use fidr::client::{run_churn, run_churn_verify, StorageClient};
 use fidr::compress::ContentGenerator;
@@ -16,18 +19,6 @@ use fidr::core::{FidrConfig, FidrSystem, DEFAULT_STREAM_SHIFT};
 use fidr::server::{Server, ServerConfig};
 use fidr::trace::TraceConfig;
 use fidr::workload::{churn_tag, ChurnKind, ChurnSchedule, ChurnSpec};
-
-/// A small, fast backend so container seals and compaction actually
-/// happen within a few hundred ops.
-fn small_system() -> FidrConfig {
-    FidrConfig {
-        cache_lines: 64,
-        table_buckets: 1 << 12,
-        container_threshold: 64 << 10,
-        hash_batch: 8,
-        ..FidrConfig::default()
-    }
-}
 
 fn churn_spec() -> ChurnSpec {
     ChurnSpec {

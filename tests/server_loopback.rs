@@ -4,7 +4,10 @@
 //! (a bad frame closes only the offending connection — other clients
 //! never stall, the server never panics).
 
+mod common;
+
 use bytes::Bytes;
+use common::small_system;
 use fidr::chunk::Lba;
 use fidr::client::{run_traffic, StorageClient};
 use fidr::core::FidrConfig;
@@ -13,19 +16,7 @@ use fidr::server::{Server, ServerConfig};
 use fidr::trace::TraceConfig;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
-
-/// A small, fast backend so batches and container seals actually happen
-/// within a few hundred ops.
-fn small_system() -> FidrConfig {
-    FidrConfig {
-        cache_lines: 64,
-        table_buckets: 1 << 12,
-        container_threshold: 64 << 10,
-        hash_batch: 8,
-        ..FidrConfig::default()
-    }
-}
+use std::time::{Duration, Instant};
 
 fn spawn(cfg: ServerConfig) -> fidr::server::ServerHandle {
     Server::spawn(cfg).expect("bind loopback")
@@ -43,7 +34,8 @@ fn concurrent_clients_verified_traffic_and_clean_drain() {
     });
     let addr = handle.local_addr();
 
-    let report = run_traffic(addr, 4, 120, 7).expect("traffic completes");
+    let report =
+        run_traffic(|| StorageClient::connect(addr), 4, 120, 7).expect("traffic completes");
     assert_eq!(report.verify_failures, 0, "every read matches its write");
     assert!(report.writes > 0 && report.reads > 0, "interleaved traffic");
 
@@ -126,6 +118,20 @@ fn malformed_frames_close_only_the_offending_connection() {
     cutoff.write_all(&frame[..HEADER_BYTES + 100]).unwrap();
     drop(cutoff);
 
+    // 4. A payload on a payload-free opcode: a bare Read header
+    //    declaring 1 MiB, body never sent. Refused from the header — the
+    //    server neither waits for the body nor would serve the read.
+    let mut padded = TcpStream::connect(addr).unwrap();
+    let mut frame = Message::Read { lba: Lba(1) }.encode().unwrap();
+    frame[9..13].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    padded.write_all(&frame).unwrap();
+    let asked = Instant::now();
+    assert_closed(padded, "read with a declared payload");
+    assert!(
+        asked.elapsed() < Duration::from_secs(2),
+        "closed on the header, not after waiting for a body"
+    );
+
     // The healthy connection kept its stream intact throughout.
     assert_eq!(good.read(Lba(1)).expect("read"), payload.to_vec());
     good.write(Lba(2), Bytes::from(vec![9u8; 4096]))
@@ -138,7 +144,7 @@ fn malformed_frames_close_only_the_offending_connection() {
         if handle
             .metrics()
             .counter("server.connections.accepted.count")
-            == Some(4)
+            == Some(5)
         {
             break;
         }
@@ -147,13 +153,13 @@ fn malformed_frames_close_only_the_offending_connection() {
 
     let metrics = handle.shutdown().expect("drain survives attacks");
     let count = |name: &str| metrics.counter(name).unwrap_or(0);
-    assert_eq!(count("server.connections.accepted.count"), 4);
+    assert_eq!(count("server.connections.accepted.count"), 5);
     assert_eq!(
         count("server.frames.rejected.count"),
-        3,
+        4,
         "each malformed stream counted once"
     );
-    assert_eq!(count("server.connections.closed_error.count"), 3);
+    assert_eq!(count("server.connections.closed_error.count"), 4);
     assert_eq!(count("server.connections.closed_clean.count"), 1);
     // The good client's frames all decoded and were served.
     assert_eq!(count("server.ops.write.count"), 2);
@@ -194,7 +200,8 @@ fn tiny_queue_bounds_inflight_and_still_completes() {
         ..ServerConfig::default()
     });
     let addr = handle.local_addr();
-    let report = run_traffic(addr, 4, 60, 11).expect("traffic completes");
+    let report =
+        run_traffic(|| StorageClient::connect(addr), 4, 60, 11).expect("traffic completes");
     assert_eq!(report.verify_failures, 0);
     let metrics = handle.shutdown().expect("drain");
     let count = |name: &str| metrics.counter(name).unwrap_or(0);
@@ -248,7 +255,7 @@ fn conns_limit_auto_drains_without_an_explicit_shutdown() {
         ..ServerConfig::default()
     });
     let addr = handle.local_addr();
-    let report = run_traffic(addr, 2, 30, 3).expect("traffic");
+    let report = run_traffic(|| StorageClient::connect(addr), 2, 30, 3).expect("traffic");
     assert_eq!(report.verify_failures, 0);
     // Both connections closed -> the server drains on its own; wait()
     // must return rather than hang.

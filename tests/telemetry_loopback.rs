@@ -4,25 +4,15 @@
 //! injected latency fault, and the drain-export byte-identity contract
 //! (the sampler must never perturb the `fidr.metrics.v1` export).
 
+mod common;
+
+use common::{deterministic_drain_json, small_system};
 use fidr::client::{run_traffic, StorageClient};
 use fidr::core::FidrConfig;
-use fidr::metrics::MetricsSnapshot;
 use fidr::nic::protocol::StatsFormat;
 use fidr::server::{Server, ServerConfig, StallFault};
 use fidr::trace::{parse_json, Json, TraceConfig};
 use std::time::Duration;
-
-/// A small, fast backend so batches and container seals actually happen
-/// within a few hundred ops.
-fn small_system() -> FidrConfig {
-    FidrConfig {
-        cache_lines: 64,
-        table_buckets: 1 << 12,
-        container_threshold: 64 << 10,
-        hash_batch: 8,
-        ..FidrConfig::default()
-    }
-}
 
 fn num(j: &Json, key: &str) -> f64 {
     j.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
@@ -63,7 +53,9 @@ fn scrapes_advance_monotonically_and_catch_slow_exemplars() {
     .expect("bind loopback");
     let addr = handle.local_addr();
 
-    let traffic = std::thread::spawn(move || run_traffic(addr, 2, 120, 7).expect("traffic"));
+    let traffic = std::thread::spawn(move || {
+        run_traffic(|| StorageClient::connect(addr), 2, 120, 7).expect("traffic")
+    });
 
     // Scrape in-band from a separate connection while traffic runs: the
     // visible sample frontier must only ever move forward.
@@ -146,18 +138,6 @@ fn scrapes_advance_monotonically_and_catch_slow_exemplars() {
     handle.shutdown().expect("drain");
 }
 
-/// The `fidr.metrics.v1` drain export, minus the `pool.*` block: pool
-/// counters carry wall-clock busy/idle times and the worker count
-/// itself, which legitimately differ across `--workers`.
-fn deterministic_drain_json(metrics: &MetricsSnapshot) -> String {
-    metrics
-        .to_json()
-        .lines()
-        .filter(|line| !line.contains("\"pool."))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn sampler_and_workers_never_change_the_drain_export() {
     let run = |workers: usize, sample_ms: u64| {
@@ -170,7 +150,8 @@ fn sampler_and_workers_never_change_the_drain_export() {
             ..ServerConfig::default()
         })
         .expect("bind loopback");
-        let report = run_traffic(handle.local_addr(), 1, 90, 5).expect("traffic");
+        let addr = handle.local_addr();
+        let report = run_traffic(|| StorageClient::connect(addr), 1, 90, 5).expect("traffic");
         assert_eq!(report.verify_failures, 0);
         deterministic_drain_json(&handle.shutdown().expect("drain"))
     };
