@@ -33,4 +33,4 @@ mod lzss;
 
 pub use engine::{CompressedChunk, Encoding};
 pub use generator::ContentGenerator;
-pub use lzss::{compress, compress_with_level, decompress, CompressionLevel, DecompressError};
+pub use lzss::{compress, decompress, DecompressError};

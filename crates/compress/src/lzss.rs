@@ -5,10 +5,15 @@
 //! "Gzip on a chip"-style cores). This module is the functional stand-in:
 //! a byte-oriented block format in the LZ4 spirit — token byte with literal
 //! run length and match length nibbles, 2-byte little-endian match offsets,
-//! 255-continuation extension bytes — implemented with a hash-chain matcher.
+//! 255-continuation extension bytes.
 //!
 //! The format is self-terminating given the compressed length: the final
 //! sequence carries only literals.
+//!
+//! The compressor is one greedy hash-chain matcher with tables sized to
+//! the input (48 KiB for a 4-KiB chunk). `tests/identity.rs` keeps the
+//! matcher it replaced as the reference its output is held to, byte for
+//! byte.
 
 use std::fmt;
 
@@ -40,109 +45,117 @@ impl fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
-fn hash4(window: &[u8]) -> usize {
-    let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+/// The four bytes at `pos` as one little-endian word.
+#[inline]
+fn word_at(input: &[u8], pos: usize) -> u32 {
+    let bytes: [u8; 4] = input[pos..pos + 4]
+        .try_into()
+        .expect("a 4-byte slice is a [u8; 4]");
+    u32::from_le_bytes(bytes)
 }
 
-/// Compression effort level.
-///
-/// `Fast` models the throughput-oriented FPGA cores the paper deploys;
-/// `High` spends more matcher effort (deeper hash chains plus lazy
-/// matching) for a better ratio — the software-side trade-off an
-/// operator might pick for cold data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompressionLevel {
-    /// Greedy matching, shallow chains (the default).
-    #[default]
-    Fast,
-    /// Lazy matching, deep chains; slower, smaller output.
-    High,
-}
-
-impl CompressionLevel {
-    fn chain_tries(self) -> u32 {
-        match self {
-            CompressionLevel::Fast => 16,
-            CompressionLevel::High => 96,
+/// Length of the longest common prefix of `a` and `b`, compared eight
+/// bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("chunks_exact(8) yields 8"));
+    let mut len = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
         }
+        len += 8;
     }
-
-    fn lazy(self) -> bool {
-        matches!(self, CompressionLevel::High)
-    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
-/// Matcher state shared by both levels.
+/// Hash-chain index over the positions of one input, which are indexed
+/// in increasing order.
 struct Matcher {
-    /// head[h] = most recent position with hash h (+1, 0 = empty).
+    /// `head[h]` = most recent indexed position whose 4-byte hash is `h`
+    /// (+1, 0 = none yet).
     head: Vec<u32>,
-    /// prev[i % WINDOW] = previous position in this hash chain (+1).
+    /// `prev[p & mask]` = the indexed position before `p` in `p`'s hash
+    /// chain (+1, 0 = none). Sized to the input, at most the window: two
+    /// positions share a slot only when more than `MAX_OFFSET` apart. A
+    /// chain is followed only inside the window, so a slot is only read
+    /// for the position that wrote it last, earlier in the same call.
     prev: Vec<u32>,
-    tries: u32,
+    mask: usize,
 }
 
 impl Matcher {
-    fn new(tries: u32) -> Self {
+    /// How many chain candidates one search examines.
+    const TRIES: u32 = 16;
+
+    fn new(input_len: usize) -> Self {
+        let slots = input_len.next_power_of_two().min(MAX_OFFSET + 1);
         Matcher {
             head: vec![0u32; 1 << HASH_BITS],
-            prev: vec![0u32; MAX_OFFSET + 1],
-            tries,
+            prev: vec![0u32; slots],
+            mask: slots - 1,
         }
     }
 
-    /// Indexes position `pos` and returns the best (offset, len) match.
-    fn insert_and_find(&mut self, input: &[u8], pos: usize) -> (usize, usize) {
-        let n = input.len();
-        let h = hash4(&input[pos..]);
-        let mut candidate = self.head[h] as usize;
+    /// Indexes position `pos` and returns the chain it joins: the previous
+    /// position with the same hash (+1, 0 = none).
+    #[inline]
+    fn insert(&mut self, word: u32, pos: usize) -> usize {
+        let h = (word.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize;
+        let candidate = self.head[h];
         self.head[h] = (pos + 1) as u32;
-        self.prev[pos % (MAX_OFFSET + 1)] = candidate as u32;
+        self.prev[pos & self.mask] = candidate;
+        candidate as usize
+    }
 
+    /// Walks the chain `candidate` that `pos` just joined and returns the
+    /// best `(offset, len)` match: the first of up to `TRIES` candidates to
+    /// reach the greatest length. `len < MIN_MATCH` means no usable match.
+    ///
+    /// Kept out of line so that the position loop in [`compress`], which
+    /// on literal runs mostly sees empty chains, stays a handful of
+    /// instructions with everything it needs in registers.
+    #[inline(never)]
+    fn longest_match(&self, input: &[u8], pos: usize, mut candidate: usize) -> (usize, usize) {
+        let word = word_at(input, pos);
+        let tail = &input[pos..];
         let mut best_len = 0usize;
         let mut best_off = 0usize;
-        let mut tries = self.tries;
+        let mut tries = Self::TRIES;
         while candidate > 0 && tries > 0 {
             let cand = candidate - 1;
-            // Double-indexing (lazy probes + sparse match indexing) can
-            // leave forward references in a chain; matches must point
-            // strictly backwards.
-            if cand >= pos {
-                candidate = self.prev[cand % (MAX_OFFSET + 1)] as usize;
-                tries -= 1;
-                continue;
-            }
             if pos - cand > MAX_OFFSET {
                 break;
             }
-            let max_len = n - pos;
-            let mut l = 0usize;
-            while l < max_len && input[cand + l] == input[pos + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_off = pos - cand;
-                if l >= max_len {
-                    break;
+            // A candidate sharing fewer than MIN_MATCH bytes can never be
+            // emitted; it costs a try and nothing else.
+            if word_at(input, cand) == word {
+                let len = MIN_MATCH
+                    + common_prefix(
+                        &input[cand + MIN_MATCH..cand + tail.len()],
+                        &tail[MIN_MATCH..],
+                    );
+                if len > best_len {
+                    best_len = len;
+                    best_off = pos - cand;
+                    if len == tail.len() {
+                        break;
+                    }
                 }
             }
-            candidate = self.prev[cand % (MAX_OFFSET + 1)] as usize;
+            candidate = self.prev[cand & self.mask] as usize;
             tries -= 1;
         }
         (best_off, best_len)
     }
-
-    /// Indexes a position without searching (inside emitted matches).
-    fn insert_only(&mut self, input: &[u8], pos: usize) {
-        let h = hash4(&input[pos..]);
-        self.prev[pos % (MAX_OFFSET + 1)] = self.head[h];
-        self.head[h] = (pos + 1) as u32;
-    }
 }
 
-/// Compresses `input` into the block format at the default (`Fast`)
-/// level.
+/// Compresses `input` into the block format.
 ///
 /// The output of compressing an empty input is empty. Compression never
 /// fails; incompressible data expands by at most ~0.5 %.
@@ -156,69 +169,44 @@ impl Matcher {
 /// assert_eq!(fidr_compress::decompress(&packed, data.len()).unwrap(), data);
 /// ```
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with_level(input, CompressionLevel::Fast)
-}
-
-/// Compresses `input` at an explicit effort [`CompressionLevel`].
-pub fn compress_with_level(input: &[u8], level: CompressionLevel) -> Vec<u8> {
     let n = input.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
         return out;
     }
 
-    let mut matcher = Matcher::new(level.chain_tries());
+    let mut matcher = Matcher::new(n);
     let mut pos = 0usize;
     let mut literal_start = 0usize;
 
     // Matches may not extend into the final MIN_MATCH bytes so the last
-    // sequence always ends in literals.
+    // sequence always ends in literals; truncated streams then fail
+    // decompression.
     let match_limit = n.saturating_sub(MIN_MATCH);
 
     while pos < match_limit {
-        let (mut best_off, mut best_len) = matcher.insert_and_find(input, pos);
-
-        // Lazy matching: if the next position yields a strictly longer
-        // match, emit this byte as a literal and take the later match.
-        if level.lazy() && best_len >= MIN_MATCH && pos + 1 < match_limit {
-            let (next_off, next_len) = matcher.insert_and_find(input, pos + 1);
-            // When deferring, `pos` advances onto the probed position,
-            // whose index entry insert_and_find already made; when not,
-            // the probe merely pre-indexed pos+1.
-            if next_len > best_len + 1 {
-                pos += 1;
-                best_off = next_off;
-                best_len = next_len;
-            }
+        let candidate = matcher.insert(word_at(input, pos), pos);
+        if candidate == 0 {
+            // Its own exit: folded into the `len` test it costs 1.4 µs/chunk.
+            pos += 1;
+            continue;
         }
-
-        if best_len >= MIN_MATCH {
-            // Trim so the stream always ends with at least MIN_MATCH
-            // literal bytes; truncated streams then fail decompression.
-            let room = n - pos;
-            if best_len > room.saturating_sub(MIN_MATCH) {
-                best_len = room.saturating_sub(MIN_MATCH);
-            }
-            if best_len >= MIN_MATCH {
-                emit_sequence(
-                    &mut out,
-                    &input[literal_start..pos],
-                    Some((best_off, best_len)),
-                );
-                // Index the skipped positions sparsely (every other byte) to
-                // keep compression fast on long matches.
-                let end = (pos + best_len).min(match_limit);
-                let mut p = pos + 1;
-                while p < end {
-                    matcher.insert_only(input, p);
-                    p += 2;
-                }
-                pos += best_len;
-                literal_start = pos;
-                continue;
-            }
+        let (off, len) = matcher.longest_match(input, pos, candidate);
+        let len = len.min(match_limit - pos);
+        if len < MIN_MATCH {
+            pos += 1;
+            continue;
         }
-        pos += 1;
+        emit_sequence(&mut out, &input[literal_start..pos], Some((off, len)));
+        // Index the skipped positions sparsely (every other byte) to keep
+        // long matches fast. `len` is already trimmed: the `min` restates
+        // `p < match_limit` so this loop's bounds checks go (1.3 µs/chunk).
+        let end = (pos + len).min(match_limit);
+        for p in (pos + 1..end).step_by(2) {
+            matcher.insert(word_at(input, p), p);
+        }
+        pos += len;
+        literal_start = pos;
     }
 
     // Final literal-only sequence.
@@ -270,17 +258,22 @@ fn emit_sequence(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) 
 /// `expected_len`.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, DecompressError> {
     let mut out = Vec::with_capacity(expected_len);
+    decompress_into(input, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// Appends the decoded block to the empty `out`, which never grows past
+/// `expected_len`: every run is checked against it before it is copied,
+/// so a corrupt length field cannot make the decoder allocate.
+fn decompress_into(
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), DecompressError> {
     let mut p = 0usize;
     let n = input.len();
 
-    if n == 0 {
-        return if expected_len == 0 {
-            Ok(out)
-        } else {
-            Err(DecompressError::new("empty stream for non-empty data"))
-        };
-    }
-
+    // An empty stream is the encoding of empty data.
     while p < n {
         let token = input[p];
         p += 1;
@@ -297,8 +290,11 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Decompre
                 }
             }
         }
-        if p + lit_len > n {
+        if lit_len > n - p {
             return Err(DecompressError::new("literal run past end of stream"));
+        }
+        if lit_len > expected_len - out.len() {
+            return Err(DecompressError::new("output exceeds expected length"));
         }
         out.extend_from_slice(&input[p..p + lit_len]);
         p += lit_len;
@@ -328,20 +324,24 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Decompre
                 }
             }
         }
-        let start = out.len() - off;
-        for i in 0..mlen {
-            let b = out[start + i];
-            out.push(b);
-        }
-        if out.len() > expected_len {
+        if mlen > expected_len - out.len() {
             return Err(DecompressError::new("output exceeds expected length"));
+        }
+        // A match longer than its offset overlaps itself: what has been
+        // copied so far repeats with period `off`, so each pass can copy
+        // everything after `start` and the span doubles.
+        let start = out.len() - off;
+        while mlen > 0 {
+            let span = mlen.min(out.len() - start);
+            out.extend_from_within(start..start + span);
+            mlen -= span;
         }
     }
 
     if out.len() != expected_len {
         return Err(DecompressError::new("output shorter than expected length"));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -424,48 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn high_level_roundtrips_and_compresses_tighter() {
-        // Structured text-like data where lazy matching finds better cuts.
-        let mut data = Vec::new();
-        for i in 0..400u32 {
-            data.extend_from_slice(
-                format!("record-{:04}: the quick brown fox;", i % 37).as_bytes(),
-            );
-        }
-        let fast = compress_with_level(&data, CompressionLevel::Fast);
-        let high = compress_with_level(&data, CompressionLevel::High);
-        assert_eq!(decompress(&fast, data.len()).unwrap(), data);
-        assert_eq!(decompress(&high, data.len()).unwrap(), data);
-        assert!(
-            high.len() <= fast.len(),
-            "high effort must not lose: {} vs {}",
-            high.len(),
-            fast.len()
-        );
-    }
-
-    #[test]
-    fn high_level_roundtrips_random_and_repetitive() {
-        let mut s = 99u64;
-        let noise: Vec<u8> = (0..8192)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 30) as u8
-            })
-            .collect();
-        for data in [
-            noise,
-            vec![7u8; 8192],
-            (0..8192u32).map(|i| (i % 5) as u8).collect(),
-        ] {
-            let c = compress_with_level(&data, CompressionLevel::High);
-            assert_eq!(decompress(&c, data.len()).unwrap(), data);
-        }
-    }
-
-    #[test]
     fn truncated_stream_errors() {
         let data = vec![7u8; 1024];
         let c = compress(&data);
@@ -478,6 +436,39 @@ mod tests {
         let c = compress(&data);
         assert!(decompress(&c, data.len() + 1).is_err());
         assert!(decompress(&c, data.len() - 1).is_err());
+        assert!(decompress(&[], 1).is_err());
+    }
+
+    #[test]
+    fn declared_lengths_are_bounded_before_copying() {
+        // One literal, then an offset-1 match whose length field is 5 000
+        // extension bytes: it declares ~1.2 MiB from a 5 KiB stream.
+        let mut stream = vec![0x1f, b'a', 0x01, 0x00];
+        stream.extend(std::iter::repeat_n(0xff, 5000));
+        stream.push(0);
+        let mut out = Vec::with_capacity(4096);
+        assert!(decompress_into(&stream, 4096, &mut out).is_err());
+        assert_eq!(out.capacity(), 4096, "decoder grew its output");
+
+        // The same for a literal run: the stream holds the bytes, the
+        // caller's expected length does not allow them.
+        let mut stream = vec![0xf0, 0xff, 0xff, 0x00];
+        stream.extend(std::iter::repeat_n(b'x', 15 + 510));
+        let mut out = Vec::with_capacity(100);
+        assert!(decompress_into(&stream, 100, &mut out).is_err());
+        assert_eq!(out.capacity(), 100, "decoder grew its output");
+    }
+
+    #[test]
+    fn overlapping_matches_repeat_their_period() {
+        // Offsets 1, 3 and 8 with lengths below, at and far above the
+        // offset, through the decoder's doubling copy.
+        for period in [1usize, 3, 8] {
+            for len in [period + 5, 2 * period + 4, 1000, 4096] {
+                let data: Vec<u8> = (0..len).map(|i| b'a' + (i % period) as u8).collect();
+                roundtrip(&data);
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,13 @@ cargo test --workspace -q
 echo "==> cargo test --release"
 cargo test --workspace --release -q
 
+# LZSS byte-identity gate, deep where it is cheap: the workspace pass
+# above already held `compress` to the reference matcher kept in
+# crates/compress/tests/identity.rs at the default case count; in
+# release the same properties afford 4,096 cases each.
+echo "==> lzss byte identity vs the reference matcher (4096 cases)"
+PROPTEST_CASES=4096 cargo test --release -q -p fidr-compress --test identity
+
 # Span-export smoke test: a small traced workload must produce a
 # Perfetto-loadable fidr.spans.v1 file (the exporter validates the JSON
 # shape before writing; the greps double-check the file on disk). CI

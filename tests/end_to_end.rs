@@ -196,3 +196,32 @@ fn worker_count_never_changes_metrics_or_spans_exports() {
         }
     }
 }
+
+/// Compressed bytes are stored, exported and measured: every seeded
+/// export, ledger ratio and benchmark counter depends on them. This pins
+/// one FNV-1a digest of `compress` over a seeded corpus, computed before
+/// the matcher was first made faster (PR 16), so a matcher change that
+/// moves a single output byte fails here by name. A change that *means*
+/// to move them (a different matcher is a declared decision that also
+/// moves `stored_bytes_per_user_byte`) updates the constant and says so.
+#[test]
+fn compress_output_bytes_are_pinned() {
+    use fidr::compress::{compress, ContentGenerator};
+
+    let generator = ContentGenerator::new(0.5);
+    let mut packed = Vec::new();
+    for seed in 0..256 {
+        for len in [4095, 4096, 4097] {
+            packed.extend(compress(&generator.chunk(seed, len)));
+        }
+    }
+    // Longer than the 64 KiB match window, so far matches and the
+    // window's edge are in the digest too.
+    packed.extend(compress(&generator.chunk(256, 200_000)));
+    assert_eq!(
+        fidr::hash::fnv1a(&packed),
+        0x3bfc_a668_7af3_f582,
+        "LZSS output bytes moved ({} bytes packed)",
+        packed.len()
+    );
+}
