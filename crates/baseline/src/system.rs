@@ -381,8 +381,7 @@ impl BaselineSystem {
             // Insert the new entry into the cached bucket (dirty line)
             // and stage the compressed chunk into the open container.
             let entry = self.cache.bucket_mut(line);
-            self.store
-                .stage(lba, fingerprint, data.to_vec(), &chunk, Some(entry))?;
+            self.store.stage(lba, fingerprint, &chunk, Some(entry))?;
             self.store
                 .ledger
                 .charge_cpu(CpuTask::TreeIndexing, cost.tree_update_cycles);

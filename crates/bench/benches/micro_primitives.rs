@@ -89,25 +89,30 @@ fn bench_btree(c: &mut Criterion) {
 
 fn bench_pipelined_tree(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipelined_tree");
-    let mut tree = PipelinedTree::new();
-    for k in 0..100_000u64 {
-        tree.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k as u32);
+    // 4,096 keys is the table cache's line count (`fidr serve`): the
+    // tree the engine searches on every bucket access. 100k is the deep
+    // tree of a large cache.
+    for keys in [4_096u64, 100_000] {
+        let mut tree = PipelinedTree::new();
+        for k in 0..keys {
+            tree.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), k as u32);
+        }
+        let mut i = 0u64;
+        g.bench_function(&format!("search_{keys}"), |b| {
+            b.iter(|| {
+                i = (i + 1) % keys;
+                tree.search(black_box(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            })
+        });
+        g.bench_function(&format!("insert_remove_{keys}"), |b| {
+            b.iter(|| {
+                i = i.wrapping_add(1);
+                let k = i.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+                tree.insert(k, 0);
+                tree.remove(k)
+            })
+        });
     }
-    let mut i = 0u64;
-    g.bench_function("search_100k", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            tree.search(black_box(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-        })
-    });
-    g.bench_function("insert_remove", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            let k = i.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
-            tree.insert(k, 0);
-            tree.remove(k)
-        })
-    });
     g.finish();
 }
 

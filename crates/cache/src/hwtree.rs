@@ -148,6 +148,8 @@ pub struct HwTree {
     /// Node-id sets of updates currently in flight (the speculation
     /// window); length < `update_slots`.
     window: VecDeque<Vec<u64>>,
+    /// Node-set buffers retired from the window, reused by later updates.
+    spare: Vec<Vec<u64>>,
 }
 
 impl HwTree {
@@ -163,6 +165,7 @@ impl HwTree {
             cfg,
             stats: HwTreeStats::default(),
             window: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -179,7 +182,7 @@ impl HwTree {
     /// Clears the hardware counters (not the mapping).
     pub fn reset_stats(&mut self) {
         self.stats = HwTreeStats::default();
-        self.window.clear();
+        self.spare.extend(self.window.drain(..));
     }
 
     /// Mapped entries.
@@ -217,7 +220,8 @@ impl HwTree {
     /// in-flight window (Algorithm 1), and charges replay on a crash
     /// (Algorithm 2).
     fn issue_update(&mut self, key: u64) {
-        let nodes = self.path_nodes(key);
+        let mut nodes = self.spare.pop().unwrap_or_default();
+        self.path_nodes(key, &mut nodes);
 
         // Algorithm 1: crash iff any traversed node or its neighbor was
         // speculatively updated by an in-flight request.
@@ -235,7 +239,7 @@ impl HwTree {
             self.stats.crashes += 1;
             self.stats.cycles += self.cfg.update_fixed_cycles + self.cfg.update_serial_cycles;
             self.stats.fpga_dram_bytes += self.cfg.leaf_bytes;
-            self.window.clear();
+            self.spare.extend(self.window.drain(..));
         }
 
         self.stats.updates += 1;
@@ -246,24 +250,28 @@ impl HwTree {
         if self.cfg.update_slots > 1 {
             self.window.push_back(nodes);
             while self.window.len() >= self.cfg.update_slots {
-                self.window.pop_front();
+                self.spare.extend(self.window.pop_front());
             }
+        } else {
+            self.spare.push(nodes);
         }
     }
 
     /// Models the node ids an update *modifies* (Algorithm 1's
-    /// `spec_updated_node` entries): always the leaf, plus each ancestor
-    /// with probability 1/`leaf_keys` per level (split/merge propagation).
-    /// Hash-PBN bucket indexes derive from SHA-256 prefixes, so leaf
-    /// positions are uniform (§5.5.1: "hash values are highly random").
-    fn path_nodes(&self, key: u64) -> Vec<u64> {
+    /// `spec_updated_node` entries) into `nodes`: always the leaf, plus
+    /// each ancestor with probability 1/`leaf_keys` per level (split/merge
+    /// propagation). Hash-PBN bucket indexes derive from SHA-256
+    /// prefixes, so leaf positions are uniform (§5.5.1: "hash values are
+    /// highly random").
+    fn path_nodes(&self, key: u64, nodes: &mut Vec<u64>) {
         let h = fnv1a_u64(key);
         let node_at = |level: u64| -> u64 {
             let bits = (2 * level).min(48) as u32;
             (level << 52) | (h >> (64 - bits))
         };
         let leaf_level = self.cfg.levels as u64;
-        let mut nodes = vec![node_at(leaf_level)];
+        nodes.clear();
+        nodes.push(node_at(leaf_level));
         // Propagation coin flips drawn deterministically from the key.
         let mut coins = fnv1a_u64(key ^ 0x5eed_5eed_5eed_5eed);
         let per_level = self.cfg.leaf_keys as u64;
@@ -273,7 +281,6 @@ impl HwTree {
             nodes.push(node_at(level));
             coins /= per_level;
         }
-        nodes
     }
 
     /// Wall-clock seconds this run would take on the engine, accounting for

@@ -12,24 +12,97 @@
 //!
 //! Nodes live in one arena per level, mirroring the per-stage memories of
 //! the hardware; [`PipelinedTree::level_node_counts`] reports the
-//! occupancy that sizes Table 5's on-chip memories.
+//! occupancy that sizes Table 5's on-chip memories. Like a stage memory
+//! word, a node is a fixed inline record — an internal node's 3 keys and
+//! 4 children fit one 64-byte cache line, a leaf's 16 keys and 16 values
+//! sit beside each other — so a visit is one node load, not three heap
+//! objects. Node capacity is never exceeded: the preemptive split and
+//! refill above are what guarantee it.
 
 /// Max keys in an internal (4-ary) node; full nodes split preemptively.
 const INNER_MAX: usize = 3;
 /// Max entries in a leaf (FIDR's 16-key leaves).
 const LEAF_MAX: usize = 16;
 
-#[derive(Debug, Clone, Default)]
-struct Inner {
-    keys: Vec<u64>,
-    /// Children indices into the next level down (or the leaf arena).
-    children: Vec<u32>,
+/// Inserts `value` at `pos` of the first `len` slots, shifting the tail.
+fn insert_at<T: Copy>(slots: &mut [T], len: usize, pos: usize, value: T) {
+    slots.copy_within(pos..len, pos + 1);
+    slots[pos] = value;
 }
 
-#[derive(Debug, Clone, Default)]
+/// Removes and returns slot `pos` of the first `len`, closing the gap.
+fn remove_at<T: Copy>(slots: &mut [T], len: usize, pos: usize) -> T {
+    let value = slots[pos];
+    slots.copy_within(pos + 1..len, pos);
+    value
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Inner {
+    /// Keys in use; `len + 1` children are.
+    len: u8,
+    keys: [u64; INNER_MAX],
+    /// Children indices into the next level down (or the leaf arena).
+    children: [u32; INNER_MAX + 1],
+}
+
+impl Inner {
+    fn new(key: u64, left: u32, right: u32) -> Self {
+        Inner {
+            len: 1,
+            keys: [key, 0, 0],
+            children: [left, right, 0, 0],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.len()]
+    }
+
+    fn children(&self) -> &[u32] {
+        &self.children[..self.len() + 1]
+    }
+
+    /// Position of the child whose range holds `key`.
+    fn child_pos(&self, key: u64) -> usize {
+        self.keys().partition_point(|&k| k <= key)
+    }
+
+    fn insert(&mut self, key_pos: usize, key: u64, child_pos: usize, child: u32) {
+        let n = self.len();
+        insert_at(&mut self.keys, n, key_pos, key);
+        insert_at(&mut self.children, n + 1, child_pos, child);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, key_pos: usize, child_pos: usize) -> (u64, u32) {
+        let n = self.len();
+        let key = remove_at(&mut self.keys, n, key_pos);
+        let child = remove_at(&mut self.children, n + 1, child_pos);
+        self.len -= 1;
+        (key, child)
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default)]
 struct Leaf {
-    keys: Vec<u64>,
-    values: Vec<u32>,
+    len: u8,
+    keys: [u64; LEAF_MAX],
+    values: [u32; LEAF_MAX],
+}
+
+impl Leaf {
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.len()]
+    }
 }
 
 /// Arena with an intrusive free list.
@@ -130,19 +203,15 @@ impl PipelinedTree {
         counts
     }
 
-    fn child_index(keys: &[u64], key: u64) -> usize {
-        keys.partition_point(|&k| k <= key)
-    }
-
     /// Point lookup: one visit per level, top to bottom.
     pub fn search(&self, key: u64) -> Option<u32> {
         let mut idx = self.root;
         for h in (0..self.height).rev() {
             let node = &self.inner[h].slots[idx as usize];
-            idx = node.children[Self::child_index(&node.keys, key)];
+            idx = node.children[node.child_pos(key)];
         }
         let leaf = &self.leaves.slots[idx as usize];
-        leaf.keys.binary_search(&key).ok().map(|i| leaf.values[i])
+        leaf.keys().binary_search(&key).ok().map(|i| leaf.values[i])
     }
 
     /// Inserts `key` → `value` in a single downward pass, splitting any
@@ -157,17 +226,14 @@ impl PipelinedTree {
         let mut idx = self.root;
         while height > 0 {
             let h = height - 1;
-            let child_pos = {
-                let node = &self.inner[h].slots[idx as usize];
-                Self::child_index(&node.keys, key)
-            };
-            let child = self.inner[h].slots[idx as usize].children[child_pos];
+            let node = &self.inner[h].slots[idx as usize];
+            let child_pos = node.child_pos(key);
+            let child = node.children[child_pos];
             if self.node_is_full(h, child) {
                 self.split_child(h, idx, child_pos);
                 // The split may have shifted the key's child.
                 let node = &self.inner[h].slots[idx as usize];
-                let pos = Self::child_index(&node.keys, key);
-                idx = node.children[pos];
+                idx = node.children[node.child_pos(key)];
             } else {
                 idx = child;
             }
@@ -175,11 +241,13 @@ impl PipelinedTree {
         }
 
         let leaf = &mut self.leaves.slots[idx as usize];
-        match leaf.keys.binary_search(&key) {
+        match leaf.keys().binary_search(&key) {
             Ok(i) => Some(std::mem::replace(&mut leaf.values[i], value)),
             Err(i) => {
-                leaf.keys.insert(i, key);
-                leaf.values.insert(i, value);
+                let n = leaf.len();
+                insert_at(&mut leaf.keys, n, i, key);
+                insert_at(&mut leaf.values, n, i, value);
+                leaf.len += 1;
                 self.len += 1;
                 None
             }
@@ -188,21 +256,18 @@ impl PipelinedTree {
 
     fn root_is_full(&self) -> bool {
         if self.height == 0 {
-            self.leaves.slots[self.root as usize].keys.len() >= LEAF_MAX
+            self.leaves.slots[self.root as usize].len() >= LEAF_MAX
         } else {
-            self.inner[self.height - 1].slots[self.root as usize]
-                .keys
-                .len()
-                >= INNER_MAX
+            self.inner[self.height - 1].slots[self.root as usize].len() >= INNER_MAX
         }
     }
 
     /// Whether the child node at internal level `h`'s *lower* level is full.
     fn node_is_full(&self, h: usize, child: u32) -> bool {
         if h == 0 {
-            self.leaves.slots[child as usize].keys.len() >= LEAF_MAX
+            self.leaves.slots[child as usize].len() >= LEAF_MAX
         } else {
-            self.inner[h - 1].slots[child as usize].keys.len() >= INNER_MAX
+            self.inner[h - 1].slots[child as usize].len() >= INNER_MAX
         }
     }
 
@@ -217,11 +282,7 @@ impl PipelinedTree {
         } else {
             self.split_inner(self.height - 1, old_root)
         };
-        let new_root = self.inner[self.height].alloc(Inner {
-            keys: vec![sep],
-            children: vec![old_root, right],
-        });
-        self.root = new_root;
+        self.root = self.inner[self.height].alloc(Inner::new(sep, old_root, right));
         self.height += 1;
     }
 
@@ -234,9 +295,7 @@ impl PipelinedTree {
         } else {
             self.split_inner(h - 1, child)
         };
-        let parent = &mut self.inner[h].slots[parent as usize];
-        parent.keys.insert(child_pos, sep);
-        parent.children.insert(child_pos + 1, right);
+        self.inner[h].slots[parent as usize].insert(child_pos, sep, child_pos + 1, right);
     }
 
     /// Splits a full leaf 8/8; the separator is the right half's first
@@ -244,28 +303,24 @@ impl PipelinedTree {
     fn split_leaf(&mut self, leaf: u32) -> (u64, u32) {
         let mid = LEAF_MAX / 2;
         let node = &mut self.leaves.slots[leaf as usize];
-        let right_keys = node.keys.split_off(mid);
-        let right_values = node.values.split_off(mid);
-        let sep = right_keys[0];
-        let right = self.leaves.alloc(Leaf {
-            keys: right_keys,
-            values: right_values,
-        });
-        (sep, right)
+        let n = node.len();
+        let mut right = Leaf {
+            len: (n - mid) as u8,
+            ..Leaf::default()
+        };
+        right.keys[..n - mid].copy_from_slice(&node.keys[mid..n]);
+        right.values[..n - mid].copy_from_slice(&node.values[mid..n]);
+        node.len = mid as u8;
+        (right.keys[0], self.leaves.alloc(right))
     }
 
     /// Splits a full internal node at level `h`, promoting its middle key.
     fn split_inner(&mut self, h: usize, node_idx: u32) -> (u64, u32) {
         let node = &mut self.inner[h].slots[node_idx as usize];
-        debug_assert_eq!(node.keys.len(), INNER_MAX);
-        let right_keys = node.keys.split_off(2);
-        let right_children = node.children.split_off(2);
-        let sep = node.keys.pop().expect("middle key");
-        let right = self.inner[h].alloc(Inner {
-            keys: right_keys,
-            children: right_children,
-        });
-        (sep, right)
+        debug_assert_eq!(node.len(), INNER_MAX);
+        let right = Inner::new(node.keys[2], node.children[2], node.children[3]);
+        node.len = 1;
+        (node.keys[1], self.inner[h].alloc(right))
     }
 
     /// Removes `key` in a single downward pass, refilling any minimal
@@ -283,12 +338,10 @@ impl PipelinedTree {
                 let h = height - 1;
                 // Pre-fix: never descend into a minimal internal child.
                 if h > 0 {
-                    let child_pos = {
-                        let node = &self.inner[h].slots[idx as usize];
-                        Self::child_index(&node.keys, key)
-                    };
-                    let child = self.inner[h].slots[idx as usize].children[child_pos];
-                    if self.inner[h - 1].slots[child as usize].keys.len() <= 1 {
+                    let node = &self.inner[h].slots[idx as usize];
+                    let child_pos = node.child_pos(key);
+                    let child = node.children[child_pos];
+                    if self.inner[h - 1].slots[child as usize].len() <= 1 {
                         let old_height = self.height;
                         self.refill_child(h, idx, child_pos);
                         if self.height < old_height {
@@ -300,7 +353,7 @@ impl PipelinedTree {
                     }
                 }
                 let node = &self.inner[h].slots[idx as usize];
-                let child_pos = Self::child_index(&node.keys, key);
+                let child_pos = node.child_pos(key);
                 let child = node.children[child_pos];
                 parent = Some((h, idx, child_pos));
                 idx = child;
@@ -308,15 +361,14 @@ impl PipelinedTree {
             }
 
             let leaf = &mut self.leaves.slots[idx as usize];
-            let i = match leaf.keys.binary_search(&key) {
-                Ok(i) => i,
-                Err(_) => return None,
-            };
-            leaf.keys.remove(i);
-            let value = leaf.values.remove(i);
+            let i = leaf.keys().binary_search(&key).ok()?;
+            let n = leaf.len();
+            remove_at(&mut leaf.keys, n, i);
+            let value = remove_at(&mut leaf.values, n, i);
+            leaf.len -= 1;
             self.len -= 1;
 
-            if leaf.keys.is_empty() {
+            if leaf.len == 0 {
                 if let Some((h, pnode, child_pos)) = parent {
                     self.unlink_child(h, pnode, child_pos);
                     self.leaves.release(idx);
@@ -331,91 +383,61 @@ impl PipelinedTree {
     /// borrowing from a sibling or merging; the parent is guaranteed to
     /// have ≥ 2 keys (pre-fixed) or to be the root.
     fn refill_child(&mut self, h: usize, parent: u32, child_pos: usize) {
-        let nchildren = self.inner[h].slots[parent as usize].children.len();
-        let lower = h - 1;
+        let p = self.inner[h].slots[parent as usize];
+        let lower = &mut self.inner[h - 1].slots;
+        let child = p.children[child_pos];
 
         // Try borrowing from the left sibling.
         if child_pos > 0 {
-            let left = self.inner[h].slots[parent as usize].children[child_pos - 1];
-            if self.inner[lower].slots[left as usize].keys.len() > 1 {
-                let (moved_key, moved_child) = {
-                    let l = &mut self.inner[lower].slots[left as usize];
-                    (
-                        l.keys.pop().expect("spare"),
-                        l.children.pop().expect("spare"),
-                    )
-                };
-                let sep = std::mem::replace(
-                    &mut self.inner[h].slots[parent as usize].keys[child_pos - 1],
-                    moved_key,
-                );
-                let child = self.inner[h].slots[parent as usize].children[child_pos];
-                let c = &mut self.inner[lower].slots[child as usize];
-                c.keys.insert(0, sep);
-                c.children.insert(0, moved_child);
+            let left = &mut lower[p.children[child_pos - 1] as usize];
+            if left.len() > 1 {
+                let last = left.len() - 1;
+                let (moved_key, moved_child) = left.remove(last, last + 1);
+                lower[child as usize].insert(0, p.keys[child_pos - 1], 0, moved_child);
+                self.inner[h].slots[parent as usize].keys[child_pos - 1] = moved_key;
                 return;
             }
         }
         // Try borrowing from the right sibling.
-        if child_pos + 1 < nchildren {
-            let right = self.inner[h].slots[parent as usize].children[child_pos + 1];
-            if self.inner[lower].slots[right as usize].keys.len() > 1 {
-                let (moved_key, moved_child) = {
-                    let r = &mut self.inner[lower].slots[right as usize];
-                    (r.keys.remove(0), r.children.remove(0))
-                };
-                let sep = std::mem::replace(
-                    &mut self.inner[h].slots[parent as usize].keys[child_pos],
-                    moved_key,
-                );
-                let child = self.inner[h].slots[parent as usize].children[child_pos];
-                let c = &mut self.inner[lower].slots[child as usize];
-                c.keys.push(sep);
-                c.children.push(moved_child);
+        if child_pos < p.len() {
+            let right = &mut lower[p.children[child_pos + 1] as usize];
+            if right.len() > 1 {
+                let (moved_key, moved_child) = right.remove(0, 0);
+                let c = &mut lower[child as usize];
+                let n = c.len();
+                c.insert(n, p.keys[child_pos], n + 1, moved_child);
+                self.inner[h].slots[parent as usize].keys[child_pos] = moved_key;
                 return;
             }
         }
         // Merge with a sibling (both at minimum: 1 key each + separator
         // = 3 keys, exactly INNER_MAX).
-        let (left_pos, right_pos) = if child_pos > 0 {
-            (child_pos - 1, child_pos)
-        } else {
-            (child_pos, child_pos + 1)
-        };
-        let left = self.inner[h].slots[parent as usize].children[left_pos];
-        let right = self.inner[h].slots[parent as usize].children[right_pos];
-        let sep = self.inner[h].slots[parent as usize].keys[left_pos];
-
-        let right_node = std::mem::take(&mut self.inner[lower].slots[right as usize]);
-        {
-            let l = &mut self.inner[lower].slots[left as usize];
-            l.keys.push(sep);
-            l.keys.extend(right_node.keys);
-            l.children.extend(right_node.children);
-        }
-        self.inner[lower].release(right);
-        let p = &mut self.inner[h].slots[parent as usize];
-        p.keys.remove(left_pos);
-        p.children.remove(right_pos);
-
-        // Root collapse: if the root lost its last key, the merged child
-        // becomes the root and the pipeline loses a stage.
-        if h == self.height - 1 && p.keys.is_empty() {
-            let new_root = p.children[0];
-            self.inner[h].release(self.root);
-            self.root = new_root;
-            self.height -= 1;
-        }
+        let left_pos = child_pos.saturating_sub(1);
+        let (left, right) = (p.children[left_pos], p.children[left_pos + 1]);
+        let r = lower[right as usize];
+        let l = &mut lower[left as usize];
+        let n = l.len();
+        l.keys[n] = p.keys[left_pos];
+        l.keys[n + 1..n + 1 + r.len()].copy_from_slice(r.keys());
+        l.children[n + 1..n + 2 + r.len()].copy_from_slice(r.children());
+        l.len += 1 + r.len;
+        self.inner[h - 1].release(right);
+        self.inner[h].slots[parent as usize].remove(left_pos, left_pos + 1);
+        self.collapse_empty_root(h, parent);
     }
 
     /// Removes `children[child_pos]` (an emptied leaf) from its parent.
     fn unlink_child(&mut self, h: usize, parent: u32, child_pos: usize) {
         let p = &mut self.inner[h].slots[parent as usize];
-        p.children.remove(child_pos);
-        let key_pos = child_pos.saturating_sub(1);
-        p.keys.remove(key_pos);
+        p.remove(child_pos.saturating_sub(1), child_pos);
+        self.collapse_empty_root(h, parent);
+    }
 
-        if h == self.height - 1 && p.keys.is_empty() {
+    /// Root collapse: if the root (at level `h`) lost its last key, its
+    /// only child becomes the root and the pipeline loses a stage.
+    fn collapse_empty_root(&mut self, h: usize, node: u32) {
+        let p = &self.inner[h].slots[node as usize];
+        if h == self.height - 1 && p.len == 0 {
             let new_root = p.children[0];
             self.inner[h].release(self.root);
             self.root = new_root;
@@ -452,19 +474,17 @@ impl PipelinedTree {
         };
         if height == 0 {
             let leaf = &self.leaves.slots[idx as usize];
-            assert!(leaf.keys.len() <= LEAF_MAX);
-            assert_eq!(leaf.keys.len(), leaf.values.len());
-            in_bounds(&leaf.keys);
-            *total += leaf.keys.len();
+            assert!(leaf.len() <= LEAF_MAX);
+            in_bounds(leaf.keys());
+            *total += leaf.len();
         } else {
             let node = &self.inner[height - 1].slots[idx as usize];
-            assert!(!node.keys.is_empty(), "internal node without keys");
-            assert!(node.keys.len() <= INNER_MAX);
-            assert_eq!(node.children.len(), node.keys.len() + 1);
-            in_bounds(&node.keys);
-            for (i, &c) in node.children.iter().enumerate() {
+            assert!(node.len() > 0, "internal node without keys");
+            assert!(node.len() <= INNER_MAX);
+            in_bounds(node.keys());
+            for (i, &c) in node.children().iter().enumerate() {
                 let clo = if i == 0 { lo } else { Some(node.keys[i - 1]) };
-                let chi = if i == node.keys.len() {
+                let chi = if i == node.len() {
                     hi
                 } else {
                     Some(node.keys[i])

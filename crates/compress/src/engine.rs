@@ -56,15 +56,6 @@ impl CompressedChunk {
         }
     }
 
-    /// Reassembles a chunk previously peeled out of a container.
-    pub fn from_parts(encoding: Encoding, payload: Vec<u8>, original_len: u32) -> Self {
-        CompressedChunk {
-            encoding,
-            payload,
-            original_len,
-        }
-    }
-
     /// Recovers the original bytes.
     ///
     /// # Errors
@@ -105,11 +96,6 @@ impl CompressedChunk {
     pub fn payload(&self) -> &[u8] {
         &self.payload
     }
-
-    /// Consumes self, returning the stored payload.
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
 }
 
 #[cfg(test)]
@@ -139,17 +125,6 @@ mod tests {
         assert_eq!(cc.encoding(), Encoding::Raw);
         assert_eq!(cc.stored_len(), data.len());
         assert_eq!(cc.decompress().unwrap(), data);
-    }
-
-    #[test]
-    fn parts_roundtrip() {
-        let data = b"abcabcabcabcabcabcabcabcxyz".to_vec();
-        let cc = CompressedChunk::compress(&data);
-        let enc = cc.encoding();
-        let olen = cc.original_len() as u32;
-        let payload = cc.clone().into_payload();
-        let cc2 = CompressedChunk::from_parts(enc, payload, olen);
-        assert_eq!(cc2.decompress().unwrap(), data);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! one-touch scans cannot wash out the genuinely hot blocks.
 
 use fidr_chunk::Lba;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Counters for the hot-read cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,9 +55,13 @@ pub struct HotReadCache {
     entries: HashMap<Lba, Vec<u8>>,
     /// LRU order: front = coldest.
     order: VecDeque<Lba>,
-    /// One-touch filter: LBAs seen once, awaiting a second access.
-    seen_once: HashMap<Lba, ()>,
-    seen_order: VecDeque<Lba>,
+    /// One-touch filter: LBAs seen once, awaiting a second access, by
+    /// the tick of their first touch; bounded to 4x the capacity.
+    seen_once: HashMap<Lba, u64>,
+    /// The same first touches, oldest first: exactly `seen_once`'s
+    /// entries, so an LBA leaving the filter leaves no stale trace.
+    seen_order: BTreeMap<u64, Lba>,
+    next_tick: u64,
     stats: HotCacheStats,
 }
 
@@ -69,7 +73,8 @@ impl HotReadCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             seen_once: HashMap::new(),
-            seen_order: VecDeque::new(),
+            seen_order: BTreeMap::new(),
+            next_tick: 0,
             stats: HotCacheStats::default(),
         }
     }
@@ -105,15 +110,14 @@ impl HotReadCache {
         if self.capacity == 0 || self.entries.contains_key(&lba) {
             return;
         }
-        if self.seen_once.remove(&lba).is_none() {
-            // First touch: remember, don't admit. The filter is bounded
-            // to 4x the cache capacity.
-            self.seen_once.insert(lba, ());
-            self.seen_order.push_back(lba);
-            while self.seen_once.len() > self.capacity * 4 {
-                if let Some(old) = self.seen_order.pop_front() {
-                    self.seen_once.remove(&old);
-                }
+        if !self.forget_first_touch(lba) {
+            // First touch: remember, don't admit.
+            self.seen_once.insert(lba, self.next_tick);
+            self.seen_order.insert(self.next_tick, lba);
+            self.next_tick += 1;
+            if self.seen_once.len() > self.capacity * 4 {
+                let (_, oldest) = self.seen_order.pop_first().expect("filter is non-empty");
+                self.seen_once.remove(&oldest);
             }
             return;
         }
@@ -131,10 +135,22 @@ impl HotReadCache {
 
     /// Invalidates a block the client overwrote.
     pub fn invalidate(&mut self, lba: Lba) {
+        if self.capacity == 0 {
+            return;
+        }
         if self.entries.remove(&lba).is_some() {
             self.order.retain(|&l| l != lba);
         }
-        self.seen_once.remove(&lba);
+        self.forget_first_touch(lba);
+    }
+
+    /// Drops `lba` from the one-touch filter; whether it was there.
+    fn forget_first_touch(&mut self, lba: Lba) -> bool {
+        let Some(tick) = self.seen_once.remove(&lba) else {
+            return false;
+        };
+        self.seen_order.remove(&tick);
+        true
     }
 
     fn touch(&mut self, lba: Lba) {
@@ -206,6 +222,34 @@ mod tests {
         c.offer(Lba(1), data(1));
         c.invalidate(Lba(1));
         assert!(c.get(Lba(1)).is_none());
+    }
+
+    #[test]
+    fn overwrite_churn_keeps_the_filter_bounded() {
+        let mut c = HotReadCache::new(4);
+        for i in 0..100_000u64 {
+            c.offer(Lba(i), data(1));
+            c.invalidate(Lba(i));
+            assert!(
+                c.seen_once.len() <= 16 && c.seen_order.len() <= 16,
+                "at {i}"
+            );
+        }
+        assert!(c.seen_order.is_empty());
+    }
+
+    #[test]
+    fn a_stale_first_touch_never_evicts_a_newer_one() {
+        let mut c = HotReadCache::new(1);
+        c.offer(Lba(1), data(1));
+        c.invalidate(Lba(1)); // the write overwrote it: forgotten
+        for i in 2..5u64 {
+            c.offer(Lba(i), data(0));
+        }
+        c.offer(Lba(1), data(1)); // a fresh first touch, the newest
+        c.offer(Lba(9), data(0)); // pushes the filter past 4: evicts LBA 2
+        c.offer(Lba(1), data(1)); // second touch still admits
+        assert!(c.get(Lba(1)).is_some());
     }
 
     #[test]

@@ -1052,13 +1052,9 @@ impl FidrSystem {
 
         self.hot_cache.invalidate(chunk.lba);
         let entry = line.map(|line| self.cache.bucket_mut(line));
-        let pbn = self.store.stage(
-            chunk.lba,
-            chunk.fingerprint,
-            chunk.data.to_vec(),
-            &compressed,
-            entry,
-        )?;
+        let pbn = self
+            .store
+            .stage(chunk.lba, chunk.fingerprint, &compressed, entry)?;
 
         // Step 8: metadata (compressed size, LBA) to the host.
         ops::dma_to_host(

@@ -6,11 +6,10 @@
 
 use crate::nvme::{QueueLocation, SsdSpec, SsdStats};
 use crate::retry::RetryState;
-use fidr_chunk::Pba;
+use fidr_chunk::{IdMap, Pba};
 use fidr_faults::{FaultInjector, FaultSite, RetryPolicy};
 use fidr_metrics::{Histogram, MetricsSnapshot};
 use fidr_tables::{Container, ContainerReadError, CHUNK_HEADER_BYTES};
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -51,6 +50,41 @@ impl fmt::Display for DataSsdError {
 
 impl std::error::Error for DataSsdError {}
 
+/// A container write the array refused: why, and the container itself,
+/// handed back so the caller keeps every chunk in it for a retry.
+pub struct RejectedWrite {
+    /// Why the write was refused.
+    pub error: DataSsdError,
+    /// The container, untouched.
+    pub container: Container,
+}
+
+impl fmt::Debug for RejectedWrite {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RejectedWrite")
+            .field("error", &self.error)
+            .field("container", &self.container.id)
+            .field("bytes", &self.container.len())
+            .finish()
+    }
+}
+
+impl fmt::Display for RejectedWrite {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "container {} not written: {}",
+            self.container.id, self.error
+        )
+    }
+}
+
+impl std::error::Error for RejectedWrite {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
 /// An array of data SSDs storing sealed containers.
 ///
 /// # Examples
@@ -66,13 +100,13 @@ impl std::error::Error for DataSsdError {}
 /// array.write_container(builder.seal())?;
 /// let pba = fidr_chunk::Pba { container: 0, offset: slot.offset, compressed_len: slot.compressed_len };
 /// assert_eq!(array.read_chunk(pba)?, vec![5u8; 4096]);
-/// # Ok::<(), fidr_ssd::DataSsdError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DataSsdArray {
     spec: SsdSpec,
     devices: u32,
-    containers: HashMap<u64, Container>,
+    containers: IdMap<u64, Container>,
     stats: SsdStats,
     queue_location: QueueLocation,
     /// Modelled device service time per IO (spec-derived, not wall-clock —
@@ -102,7 +136,7 @@ impl DataSsdArray {
         DataSsdArray {
             spec,
             devices,
-            containers: HashMap::new(),
+            containers: IdMap::default(),
             stats: SsdStats::default(),
             queue_location: QueueLocation::HostMemory,
             io_ns: Histogram::new(),
@@ -138,22 +172,25 @@ impl DataSsdArray {
     ///
     /// # Errors
     ///
+    /// A [`RejectedWrite`] carrying the container back, with
     /// [`DataSsdError::ContainerIdReuse`] if a container with this id is
     /// already stored (the guard is unconditional — a `debug_assert!`
     /// would vanish in release builds and let a buggy or retrying caller
-    /// silently overwrite sealed data), [`DataSsdError::Io`] if an
+    /// silently overwrite sealed data), or [`DataSsdError::Io`] if an
     /// injected transient fault outlives the retry budget.
-    pub fn write_container(&mut self, container: Container) -> Result<Duration, DataSsdError> {
+    pub fn write_container(&mut self, container: Container) -> Result<Duration, RejectedWrite> {
         if self.containers.contains_key(&container.id) {
-            return Err(DataSsdError::ContainerIdReuse(container.id));
+            let error = DataSsdError::ContainerIdReuse(container.id);
+            return Err(RejectedWrite { error, container });
         }
-        let backoff = self
-            .retry
-            .attempt(FaultSite::DataWrite)
-            .map_err(|attempts| DataSsdError::Io {
-                op: "container write",
-                attempts,
-            })?;
+        let backoff = match self.retry.attempt(FaultSite::DataWrite) {
+            Ok(backoff) => backoff,
+            Err(attempts) => {
+                let op = "container write";
+                let error = DataSsdError::Io { op, attempts };
+                return Err(RejectedWrite { error, container });
+            }
+        };
         let bytes = container.len() as u64;
         self.stats.record_write(bytes);
         let t = self.spec.write_time(bytes);
@@ -336,9 +373,12 @@ mod tests {
         let (first, pba) = sealed(3, 0x11);
         let (second, _) = sealed(3, 0x22);
         array.write_container(first).unwrap();
+        let rejected = array.write_container(second).unwrap_err();
+        assert_eq!(rejected.error, DataSsdError::ContainerIdReuse(3));
         assert_eq!(
-            array.write_container(second).unwrap_err(),
-            DataSsdError::ContainerIdReuse(3)
+            rejected.container.bytes,
+            sealed(3, 0x22).0.bytes,
+            "handed back"
         );
         // The original container survives the rejected overwrite.
         assert_eq!(array.read_chunk(pba).unwrap(), vec![0x11u8; 4096]);
@@ -356,7 +396,7 @@ mod tests {
         array.set_fault_injector(FaultInjector::new(plan), RetryPolicy::default());
         let (c, _) = sealed(0, 1);
         assert_eq!(
-            array.write_container(c).unwrap_err(),
+            array.write_container(c).unwrap_err().error,
             DataSsdError::Io {
                 op: "container write",
                 attempts: 5

@@ -25,6 +25,6 @@ mod nvme;
 mod retry;
 mod table_ssd;
 
-pub use data_ssd::{DataSsdArray, DataSsdError};
+pub use data_ssd::{DataSsdArray, DataSsdError, RejectedWrite};
 pub use nvme::{QueueLocation, SsdSpec, SsdStats};
 pub use table_ssd::{TableSsd, TableSsdError};

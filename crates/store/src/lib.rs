@@ -27,7 +27,7 @@
 //! let mut store = ChunkStore::new(DataPath::PeerToPeer, 64 << 10, 2, cost, retry, trace, faults);
 //! let data = vec![7u8; 4096];
 //! let compressed = CompressedChunk::compress(&data);
-//! let pbn = store.stage(Lba(1), Fingerprint::of(&data), data.clone(), &compressed, None)?;
+//! let pbn = store.stage(Lba(1), Fingerprint::of(&data), &compressed, None)?;
 //! let (found, loc) = store.locate(Lba(1))?;
 //! assert_eq!(found, pbn);
 //! assert_eq!(store.fetch_chunk_verified(pbn, loc)?, data);

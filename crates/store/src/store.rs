@@ -1,13 +1,13 @@
 //! [`ChunkStore`]: the state and lifecycle both engines share.
 
 use crate::StoreError;
-use fidr_chunk::{Lba, Pba, Pbn};
+use fidr_chunk::{IdMap, Lba, Pba, Pbn};
 use fidr_compress::{CompressedChunk, Encoding};
 use fidr_faults::{FaultInjector, RetryPolicy};
 use fidr_hash::Fingerprint;
 use fidr_hwsim::{ops, CostParams, CpuTask, Ledger, MemPath, PcieLink, TimeModel};
 use fidr_metrics::{Histogram, MetricsSnapshot};
-use fidr_ssd::{DataSsdArray, DataSsdError};
+use fidr_ssd::{DataSsdArray, DataSsdError, RejectedWrite};
 use fidr_tables::{
     Bucket, ContainerBuilder, ContainerLiveness, GcReport, HashPbnStore, LbaPbaTable, PbnLocation,
     ReductionStats, Snapshot, BUCKET_BYTES,
@@ -136,11 +136,17 @@ struct Counters {
 }
 
 /// The chunk store under both engines: every piece of state whose
-/// meaning does not depend on *how* a chunk got here — the
-/// LBA→PBN→location map with its reference counts, the open container
-/// and its staging copies, the data SSDs, the fingerprint-by-PBN record,
-/// the per-container liveness census, the dead list — plus the ledger,
-/// tracer and counters its verbs charge.
+/// meaning does not depend on *how* a chunk got here — the LBA→PBN map
+/// and one record per PBN (location, reference count, fingerprint), the
+/// open container, the data SSDs, the per-container liveness census, the
+/// dead list — plus the ledger, tracer and counters its verbs charge.
+///
+/// The open container holds only compressed bytes, as the engine's DRAM
+/// does (§5.3): a read of a chunk that has not sealed yet decodes its
+/// region from the builder, and is verified like any other read. State
+/// keyed by an id the store allocates (PBNs, container ids) sits on an
+/// [`IdMap`]; the LBA map keeps std's keyed hasher because clients
+/// choose LBAs.
 ///
 /// The Hash-PBN table is *not* here: the two engines drive different
 /// caches over it. The one lifecycle step that touches it — dropping a
@@ -164,17 +170,11 @@ pub struct ChunkStore {
     data_ssd: DataSsdArray,
     lba_map: LbaPbaTable,
     builder: ContainerBuilder,
-    /// Raw chunk data of the still-open container, by offset: readable
-    /// before the container seals.
-    staging: HashMap<u32, Vec<u8>>,
     next_pbn: u64,
     next_container: u64,
-    /// Fingerprint of each stored unique chunk (read verification, and
-    /// deleting its Hash-PBN entry when the chunk dies).
-    pbn_fp: HashMap<Pbn, Fingerprint>,
     /// PBNs ever appended to each container (filtered by refcount at
     /// compaction time).
-    container_pbns: HashMap<u64, Vec<Pbn>>,
+    container_pbns: IdMap<u64, Vec<Pbn>>,
     liveness: ContainerLiveness,
     /// PBNs whose reference count dropped to zero, awaiting collection.
     dead: Vec<Pbn>,
@@ -208,11 +208,9 @@ impl ChunkStore {
             data_ssd,
             lba_map: LbaPbaTable::new(),
             builder: ContainerBuilder::new(0, container_threshold),
-            staging: HashMap::new(),
             next_pbn: 0,
             next_container: 0,
-            pbn_fp: HashMap::new(),
-            container_pbns: HashMap::new(),
+            container_pbns: IdMap::default(),
             liveness: ContainerLiveness::new(),
             dead: Vec::new(),
             counters: Counters::default(),
@@ -391,11 +389,9 @@ impl ChunkStore {
         compressed
     }
 
-    /// Appends `compressed` to the open container under `pbn` and keeps
-    /// the raw `data` readable until the container seals.
-    fn append(&mut self, pbn: Pbn, data: Vec<u8>, compressed: &CompressedChunk) -> PbnLocation {
+    /// Appends `compressed` to the open container under `pbn`.
+    fn append(&mut self, pbn: Pbn, compressed: &CompressedChunk) -> PbnLocation {
         let slot = self.builder.append(compressed);
-        self.staging.insert(slot.offset, data);
         let container = self.builder.id();
         self.container_pbns.entry(container).or_default().push(pbn);
         self.liveness.record_append(container);
@@ -421,7 +417,6 @@ impl ChunkStore {
         &mut self,
         lba: Lba,
         fp: Fingerprint,
-        data: Vec<u8>,
         compressed: &CompressedChunk,
         entry: Option<&mut Bucket>,
     ) -> Result<Pbn, StoreError> {
@@ -430,9 +425,8 @@ impl ChunkStore {
         if let Some(bucket) = entry {
             bucket.insert(fp, pbn)?;
         }
-        let loc = self.append(pbn, data, compressed);
-        self.lba_map.record_pbn(pbn, loc);
-        self.pbn_fp.insert(pbn, fp);
+        let loc = self.append(pbn, compressed);
+        self.lba_map.record_pbn(pbn, loc, fp);
         self.remap(lba, pbn);
         Ok(pbn)
     }
@@ -489,8 +483,8 @@ impl ChunkStore {
 
     fn fetch_chunk(&mut self, loc: PbnLocation) -> Result<Vec<u8>, StoreError> {
         if loc.container == self.builder.id() {
-            let staged = self.staging.get(&loc.offset).cloned();
-            return staged.ok_or_else(|| StoreError::Corrupt("missing staged chunk".to_string()));
+            let open = self.builder.read_chunk(loc.offset, loc.compressed_len);
+            return open.map_err(|e| StoreError::Corrupt(e.to_string()));
         }
         let pba = Pba {
             container: loc.container,
@@ -513,17 +507,16 @@ impl ChunkStore {
     /// # Errors
     ///
     /// [`StoreError::Io`] when the device read fails past its retry
-    /// budget, [`StoreError::Corrupt`] when the region does not decode or
-    /// still mismatches after the re-reads.
+    /// budget, [`StoreError::Corrupt`] when `pbn` has no record, the
+    /// region does not decode or still mismatches after the re-reads.
     pub fn fetch_chunk_verified(
         &mut self,
         pbn: Pbn,
         loc: PbnLocation,
     ) -> Result<Vec<u8>, StoreError> {
+        let expect = self.lba_map.fingerprint(pbn);
+        let expect = expect.ok_or_else(|| StoreError::Corrupt(format!("{pbn} has no record")))?;
         let data = self.fetch_chunk(loc)?;
-        let Some(expect) = self.pbn_fp.get(&pbn).copied() else {
-            return Ok(data);
-        };
         if Fingerprint::of(&data) == expect {
             return Ok(data);
         }
@@ -571,24 +564,26 @@ impl ChunkStore {
 
     /// Writes the open container to the data SSDs and opens the next.
     ///
-    /// Seals a *clone* of the open builder: on a failed device write the
-    /// builder and its staging copies survive intact, so a later flush
-    /// retries the seal and no acked write is ever lost.
+    /// The builder's bytes move to the device; a refused write hands them
+    /// back and the container reopens, so a later flush retries the seal
+    /// and no acked write is ever lost.
     fn seal_container(&mut self) -> Result<(), StoreError> {
         let bytes = self.builder.len() as u64;
         let span = self.tracer.begin("ssd");
         self.tracer.attr(span, "container_bytes", bytes);
         self.tracer.advance(self.time.data_ssd_ns(bytes, 1));
-        if let Err(e) = self.data_ssd.write_container(self.builder.clone().seal()) {
+        let next = ContainerBuilder::new(self.next_container + 1, self.container_threshold);
+        let full = std::mem::replace(&mut self.builder, next);
+        if let Err(RejectedWrite { error, container }) = self.data_ssd.write_container(full.seal())
+        {
+            self.builder = ContainerBuilder::reopen(container, self.container_threshold);
             self.counters.seal_failures += 1;
             self.tracer.attr(span, "error", "io");
             self.tracer.end(span);
-            return Err(StoreError::Io(e.to_string()));
+            return Err(StoreError::Io(error.to_string()));
         }
         self.tracer.end(span);
         self.next_container += 1;
-        self.builder = ContainerBuilder::new(self.next_container, self.container_threshold);
-        self.staging.clear();
 
         self.path.charge_seal(&mut self.ledger, bytes);
         self.ledger
@@ -629,13 +624,12 @@ impl ChunkStore {
             if self.lba_map.refcount(pbn) > 0 {
                 continue; // resurrected after being queued
             }
-            let fp = self.pbn_fp.get(&pbn).copied();
+            let fp = self.lba_map.fingerprint(pbn);
             let fp = fp.expect("dead PBN has a fingerprint on record");
             if let Err(e) = remove_entry(&mut self.ledger, fp, pbn) {
                 self.dead.extend_from_slice(&dead[idx..]);
                 return Err(e);
             }
-            self.pbn_fp.remove(&pbn);
             self.lba_map.reclaim(pbn);
             report.reclaimed_pbns += 1;
         }
@@ -696,7 +690,7 @@ impl ChunkStore {
         let stored = compressed.stored_len() as u64;
         path.charge_survivor_staged(&mut self.ledger, stored);
         report.copied_bytes += stored;
-        let new_loc = self.append(pbn, data, &compressed);
+        let new_loc = self.append(pbn, &compressed);
         self.lba_map.relocate(pbn, new_loc);
         report.moved_chunks += 1;
         self.seal_if_full()
@@ -719,7 +713,7 @@ impl ChunkStore {
             containers: sorted_by(self.data_ssd.containers().cloned(), |c| c.id),
             next_pbn: self.next_pbn,
             next_container: self.next_container,
-            pbn_fp: sorted_by(self.pbn_fp.iter().map(|(&p, &f)| (p, f)), |&(pbn, _)| pbn.0),
+            pbn_fp: sorted_by(self.lba_map.fingerprints(), |&(pbn, _)| pbn.0),
             liveness: sorted_by(self.liveness.entries(), |&(container, ..)| container),
             dead: self.dead.clone(),
         }
@@ -743,11 +737,10 @@ impl ChunkStore {
             let list = self.container_pbns.entry(loc.container);
             list.or_default().push(pbn);
         }
-        self.lba_map = LbaPbaTable::from_entries(snapshot.lbas, pbns);
+        self.lba_map = LbaPbaTable::from_entries(snapshot.lbas, pbns, snapshot.pbn_fp);
         self.next_pbn = snapshot.next_pbn;
         self.next_container = snapshot.next_container;
         self.builder = ContainerBuilder::new(snapshot.next_container, self.container_threshold);
-        self.pbn_fp = snapshot.pbn_fp.into_iter().collect();
         self.liveness = ContainerLiveness::from_entries(snapshot.liveness);
         self.dead = snapshot.dead;
         table
@@ -770,9 +763,6 @@ impl ChunkStore {
             .filter(|(pbn, _)| self.lba_map.refcount(*pbn) > 0)
             .collect();
         for &(pbn, loc) in &live {
-            if !self.pbn_fp.contains_key(&pbn) {
-                return Err(StoreError::Corrupt(format!("{pbn} missing fingerprint")));
-            }
             self.fetch_chunk_verified(pbn, loc)?;
         }
         Ok(live.len() as u64)
@@ -863,7 +853,7 @@ mod tests {
                 return Ok(pbn);
             }
             let compressed = self.store.compress_chunk_with(&data, None);
-            let pbn = self.store.stage(Lba(lba), fp, data, &compressed, None)?;
+            let pbn = self.store.stage(Lba(lba), fp, &compressed, None)?;
             self.table.insert(fp, pbn)?;
             self.store.seal_if_full()?;
             Ok(pbn)
@@ -999,24 +989,52 @@ mod tests {
     }
 
     #[test]
-    fn failed_seal_keeps_the_open_container_and_its_staging() {
+    fn open_container_reads_the_same_before_a_failed_seal_after_it_and_after_the_retry() {
         for path in [DataPath::PeerToPeer, DataPath::HostStaged] {
             let always = FaultPlan {
                 data_write_error: 1.0,
                 ..FaultPlan::default()
             };
             let mut r = Rig::new(path, always);
-            r.write(7, 1).unwrap();
+            // Sixteen chunks, four of them duplicates, stay under the
+            // 64-KiB threshold: all of them live in the open container.
+            let lbas: Vec<u64> = (0..16).collect();
+            for &i in &lbas {
+                r.write(i, i % 12).unwrap();
+            }
+            let read_all = |r: &mut Rig| -> Vec<Vec<u8>> {
+                lbas.iter().map(|&i| r.read(i).unwrap()).collect()
+            };
+            let before = read_all(&mut r);
+            let want: Vec<Vec<u8>> = lbas.iter().map(|&i| content(i % 12)).collect();
+            assert_eq!(before, want);
+            let sealed = r.store.builder.clone().seal();
+            for &i in &lbas {
+                let (_, loc) = r.store.locate(Lba(i)).unwrap();
+                let open = r.store.builder.read_chunk(loc.offset, loc.compressed_len);
+                assert_eq!(open, sealed.read_chunk(loc.offset, loc.compressed_len));
+            }
+
             assert!(matches!(r.store.seal_open(), Err(StoreError::Io(_))));
             assert!(matches!(r.store.seal_open(), Err(StoreError::Io(_))));
-            // Nothing reached the device, yet the acked write still reads,
-            // and later writes keep landing in the same open container.
+            // Nothing reached the device, yet every acked write still
+            // reads, and later writes keep landing in the same container.
             assert_eq!(r.store.stored_bytes(), 0);
             assert_eq!(r.store.counters.seal_failures, 2);
             assert_eq!(r.store.stats.containers_sealed, 0);
-            assert_eq!(r.read(7).unwrap(), content(1));
-            r.write(8, 2).unwrap();
-            assert_eq!(r.read(8).unwrap(), content(2));
+            assert_eq!(read_all(&mut r), before);
+            r.write(100, 99).unwrap();
+            assert_eq!(r.read(100).unwrap(), content(99));
+
+            let retry = r.store.retry;
+            r.store
+                .data_ssd
+                .set_fault_injector(FaultInjector::disabled(), retry);
+            r.store.seal_open().unwrap();
+            assert_eq!(r.store.stats.containers_sealed, 1);
+            assert!(r.store.builder.is_empty(), "the next container is open");
+            assert_eq!(read_all(&mut r), before);
+            assert_eq!(r.read(100).unwrap(), content(99));
         }
     }
 
@@ -1039,8 +1057,11 @@ mod tests {
             });
             assert_eq!(err.unwrap_err().kind(), "io");
             assert_eq!(r.store.dead, pbns[2..], "failed chunk and the tail requeue");
-            assert!(r.store.pbn_fp.contains_key(&pbns[2]), "fingerprint kept");
-            assert!(!r.store.pbn_fp.contains_key(&pbns[1]));
+            assert!(
+                r.store.lba_map.fingerprint(pbns[2]).is_some(),
+                "record kept"
+            );
+            assert!(r.store.lba_map.fingerprint(pbns[1]).is_none());
             // A clean pass finishes the job.
             let report = r.store.collect_garbage(1.1, |_, _, _| Ok(())).unwrap();
             assert_eq!(report.reclaimed_pbns, 4);

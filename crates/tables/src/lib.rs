@@ -17,7 +17,7 @@
 //!
 //! let fp = Fingerprint::of(b"payload");
 //! hash_pbn.insert(fp, Pbn(0))?;
-//! lba_map.record_pbn(Pbn(0), PbnLocation { container: 0, offset: 0, compressed_len: 512 });
+//! lba_map.record_pbn(Pbn(0), PbnLocation { container: 0, offset: 0, compressed_len: 512 }, fp);
 //! lba_map.map_write(Lba(1), Pbn(0));
 //! assert!(lba_map.lookup(Lba(1)).is_some());
 //! # Ok::<(), fidr_tables::BucketInsertError>(())

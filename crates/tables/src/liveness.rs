@@ -6,7 +6,7 @@
 //! survivors and drops the container. This tracker maintains the live/total
 //! census per container that drives victim selection.
 
-use std::collections::HashMap;
+use fidr_chunk::IdMap;
 
 /// Outcome of one garbage-collection pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,7 +51,7 @@ impl GcReport {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ContainerLiveness {
-    counts: HashMap<u64, (u32, u32)>, // (live, total)
+    counts: IdMap<u64, (u32, u32)>, // (live, total)
 }
 
 impl ContainerLiveness {

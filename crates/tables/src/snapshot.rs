@@ -281,6 +281,24 @@ impl Snapshot {
             dead.push(Pbn(r.u64()?));
         }
 
+        // The store keeps one record per PBN — location and fingerprint
+        // together — and every LBA must resolve to one.
+        let mut located: Vec<Pbn> = pbns.iter().map(|&(pbn, _)| pbn).collect();
+        let mut fingerprinted: Vec<Pbn> = pbn_fp.iter().map(|&(pbn, _)| pbn).collect();
+        located.sort_unstable();
+        fingerprinted.sort_unstable();
+        if located != fingerprinted || located.windows(2).any(|w| w[0] == w[1]) {
+            return Err(SnapshotError::Corrupt(
+                "PBN locations and fingerprints disagree",
+            ));
+        }
+        if lbas
+            .iter()
+            .any(|(_, pbn)| located.binary_search(pbn).is_err())
+        {
+            return Err(SnapshotError::Corrupt("LBA mapped to an unrecorded PBN"));
+        }
+
         Ok(Snapshot {
             num_buckets,
             table_buckets,
@@ -359,6 +377,24 @@ mod tests {
                 "cut at {cut} must fail"
             );
         }
+    }
+
+    #[test]
+    fn rejects_pbn_records_that_do_not_pair_up() {
+        let disagree = SnapshotError::Corrupt("PBN locations and fingerprints disagree");
+        let mut snap = sample();
+        snap.pbn_fp[0].0 = Pbn(4);
+        assert_eq!(Snapshot::decode(&snap.encode()), Err(disagree.clone()));
+        let mut snap = sample();
+        snap.pbns.push(snap.pbns[0]);
+        snap.pbn_fp.push(snap.pbn_fp[0]);
+        assert_eq!(Snapshot::decode(&snap.encode()), Err(disagree));
+        let mut snap = sample();
+        snap.lbas[1].1 = Pbn(9);
+        assert_eq!(
+            Snapshot::decode(&snap.encode()),
+            Err(SnapshotError::Corrupt("LBA mapped to an unrecorded PBN"))
+        );
     }
 
     #[test]

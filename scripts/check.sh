@@ -35,6 +35,12 @@ cargo test --workspace --release -q
 echo "==> lzss byte identity vs the reference matcher (4096 cases)"
 PROPTEST_CASES=4096 cargo test --release -q -p fidr-compress --test identity
 
+# Same idea for the table-cache index: the inline-node PipelinedTree must
+# make the parent's Vec-node tree's every split/refill/merge decision
+# (crates/cache/tests/reference/), or Table 5's node counts drift.
+echo "==> pipelined tree vs the reference tree (2048 cases)"
+PROPTEST_CASES=2048 cargo test --release -q -p fidr-cache --test tree_reference
+
 # Span-export smoke test: a small traced workload must produce a
 # Perfetto-loadable fidr.spans.v1 file (the exporter validates the JSON
 # shape before writing; the greps double-check the file on disk). CI

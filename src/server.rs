@@ -404,9 +404,18 @@ struct Shared {
     /// router pushes one (standalone servers never hold one). Lock order
     /// where the system lock is also needed: system first, map second.
     shard_map: Mutex<Option<ShardRouter>>,
-    /// Frames admitted into the backend but not yet replied.
-    inflight: Mutex<usize>,
+    inflight: Mutex<Inflight>,
     inflight_cv: Condvar,
+}
+
+/// The admission queue's state, under one mutex.
+#[derive(Default)]
+struct Inflight {
+    /// Frames admitted into the backend but not yet replied.
+    frames: usize,
+    /// Threads blocked in [`Shared::admit`]: a release only pays for a
+    /// wake-up syscall when one is waiting.
+    waiters: usize,
 }
 
 impl Shared {
@@ -414,30 +423,35 @@ impl Shared {
     /// then claims it.
     fn admit(&self) {
         let mut inflight = self.inflight.lock().expect("inflight lock");
-        if *inflight >= self.queue_capacity {
+        if inflight.frames >= self.queue_capacity {
             self.metrics.queue_waits.fetch_add(1, Ordering::Relaxed);
-            while *inflight >= self.queue_capacity {
+            inflight.waiters += 1;
+            while inflight.frames >= self.queue_capacity {
                 inflight = self
                     .inflight_cv
                     .wait(inflight)
                     .expect("inflight lock poisoned");
             }
+            inflight.waiters -= 1;
         }
-        *inflight += 1;
+        inflight.frames += 1;
         self.metrics
             .queue_depth_max
-            .fetch_max(*inflight as u64, Ordering::Relaxed);
+            .fetch_max(inflight.frames as u64, Ordering::Relaxed);
     }
 
     fn release(&self) {
         let mut inflight = self.inflight.lock().expect("inflight lock");
-        *inflight -= 1;
+        inflight.frames -= 1;
+        let waiting = inflight.waiters > 0;
         drop(inflight);
-        self.inflight_cv.notify_one();
+        if waiting {
+            self.inflight_cv.notify_one();
+        }
     }
 
     fn queue_depth(&self) -> u64 {
-        *self.inflight.lock().expect("inflight lock") as u64
+        self.inflight.lock().expect("inflight lock").frames as u64
     }
 
     /// Opportunistic background dedup: whenever a connection read times
@@ -915,7 +929,7 @@ impl Server {
             deletes_since_gc: AtomicU64::new(0),
             node_id: cfg.node_id,
             shard_map: Mutex::new(None),
-            inflight: Mutex::new(0),
+            inflight: Mutex::default(),
             inflight_cv: Condvar::new(),
         });
         let (idle_shared, conn_shared) = (Arc::clone(&shared), Arc::clone(&shared));

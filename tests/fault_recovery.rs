@@ -486,7 +486,7 @@ fn container_id_reuse_is_a_hard_error() {
         .write_container(ContainerBuilder::new(7, 1024).seal())
         .unwrap();
     match array.write_container(ContainerBuilder::new(7, 1024).seal()) {
-        Err(DataSsdError::ContainerIdReuse(7)) => {}
+        Err(rejected) if rejected.error == DataSsdError::ContainerIdReuse(7) => {}
         other => panic!("expected ContainerIdReuse(7), got {other:?}"),
     }
 }

@@ -1,0 +1,85 @@
+//! The modelled totals a host-side speed-up must not move, pinned to the
+//! values the engine produced before its bookkeeping was cut (PR 25):
+//! the ledger's CPU cycles and memory bytes, the stored bytes, the HW
+//! tree's cycles and crashes, and what GC reclaims. A change to how the
+//! host keeps its records that shifts any of these has changed what the
+//! reproduction reports, not just how fast it runs.
+
+use bytes::Bytes;
+use fidr::chunk::Lba;
+use fidr::compress::ContentGenerator;
+use fidr::core::{FidrConfig, FidrSystem, DEFAULT_STREAM_SHIFT};
+use fidr::metrics::MetricsSnapshot;
+use fidr::workload::{churn_tag, ChurnKind, ChurnSchedule, ChurnSpec, WorkloadSpec};
+use fidr::{run_workload, RunConfig, SystemVariant};
+
+fn assert_pinned(metrics: &MetricsSnapshot, pins: &[(&str, u64)]) {
+    for &(name, want) in pins {
+        assert_eq!(metrics.counter(name), Some(want), "{name}");
+    }
+}
+
+/// `fidr run --workload write-h --variant full --ops 2000 --cache-shards 4`.
+#[test]
+fn write_h_modelled_totals_are_pinned() {
+    let run = RunConfig {
+        cache_shards: 4,
+        ..RunConfig::default()
+    };
+    let report = run_workload(SystemVariant::FidrFull, WorkloadSpec::write_h(2000), run);
+    assert_pinned(
+        &report.metrics,
+        &[
+            ("cpu.total.cycles", 4_593_926),
+            ("mem.total.bytes", 9_333_762),
+            ("reduction.stored.bytes", 520_699),
+            ("hwtree.cycles.count", 11_801),
+            ("hwtree.crashes.count", 0),
+        ],
+    );
+}
+
+/// `fidr gc --tenants 4 --blocks 64 --rounds 3 --delete-pct 40`: churn
+/// (writes, overwrites, deletes), a flush, one collection pass, then a
+/// read of every survivor.
+#[test]
+fn churn_then_gc_modelled_totals_are_pinned() {
+    let spec = ChurnSpec {
+        tenants: 4,
+        blocks_per_tenant: 64,
+        rounds: 3,
+        delete_pct: 40,
+        seed: 42,
+    };
+    let gen = ContentGenerator::new(0.5);
+    let mut sys = FidrSystem::new(FidrConfig::default());
+    let schedule = ChurnSchedule::generate(spec);
+    for op in schedule.ops() {
+        let lba = Lba((op.tenant << DEFAULT_STREAM_SHIFT) | op.offset);
+        match op.kind {
+            ChurnKind::Write { round } => {
+                let tag = churn_tag(spec.seed, op.tenant, op.offset, round);
+                sys.write(lba, Bytes::from(gen.chunk(tag, 4096))).unwrap();
+            }
+            ChurnKind::Delete => sys.delete(lba).unwrap(),
+        }
+    }
+    sys.flush().unwrap();
+    sys.collect_garbage(0.5).unwrap();
+    for (&(tenant, offset), &round) in schedule.survivors() {
+        let got = sys.read(Lba((tenant << DEFAULT_STREAM_SHIFT) | offset));
+        let want = gen.chunk(churn_tag(spec.seed, tenant, offset, round), 4096);
+        assert_eq!(got.unwrap(), want);
+    }
+    assert_pinned(
+        &sys.metrics(),
+        &[
+            ("cpu.total.cycles", 3_463_553),
+            ("mem.total.bytes", 3_709_301),
+            ("reduction.stored.bytes", 328_000),
+            ("hwtree.cycles.count", 4_145),
+            ("hwtree.crashes.count", 0),
+            ("gc.reclaimed_bytes", 328_640),
+        ],
+    );
+}
