@@ -34,21 +34,33 @@ fn bench_sha256(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 4-KiB slice of one of this repository's source files: real text,
+/// whose matches are short and close together. The arm's bytes move
+/// whenever that file is edited.
+const TEXT: &[u8] = include_bytes!("../../tables/src/snapshot.rs");
+
 fn bench_lzss(c: &mut Criterion) {
     let mut g = c.benchmark_group("lzss");
-    let chunk = ContentGenerator::new(0.5).chunk(2, 4096);
-    // Ratio 1.0 is all noise: every position is searched, nothing
-    // matches and the chunk is stored raw — the matcher's worst case.
-    let noise = ContentGenerator::new(1.0).chunk(2, 4096);
-    let packed = compress(&chunk);
     // One iteration is one 4-KiB chunk: ns/iter / 1000 = µs/chunk.
     g.throughput(Throughput::Bytes(4096));
-    g.bench_function("compress_4k_r05", |b| {
-        b.iter(|| compress(black_box(&chunk)))
-    });
-    g.bench_function("compress_4k_noise", |b| {
-        b.iter(|| compress(black_box(&noise)))
-    });
+    // The generator's content at each ratio: noise for that share of the
+    // chunk, then one long offset-8 match. Ratio 1.0 is all noise, stored
+    // raw: the matcher's worst case.
+    for (name, ratio) in [
+        ("r005", 0.05),
+        ("r025", 0.25),
+        ("r05", 0.5),
+        ("r075", 0.75),
+        ("r10", 1.0),
+    ] {
+        let chunk = ContentGenerator::new(ratio).chunk(2, 4096);
+        g.bench_function(&format!("compress_4k_{name}"), |b| {
+            b.iter(|| compress(black_box(&chunk)))
+        });
+    }
+    let text = &TEXT[4096..8192];
+    g.bench_function("compress_4k_text", |b| b.iter(|| compress(black_box(text))));
+    let packed = compress(&ContentGenerator::new(0.5).chunk(2, 4096));
     g.bench_function("decompress_4k_r05", |b| {
         b.iter(|| decompress(black_box(&packed), 4096).unwrap())
     });

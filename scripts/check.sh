@@ -28,11 +28,12 @@ cargo test --workspace -q
 echo "==> cargo test --release"
 cargo test --workspace --release -q
 
-# LZSS byte-identity gate, deep where it is cheap: the workspace pass
-# above already held `compress` to the reference matcher kept in
-# crates/compress/tests/identity.rs at the default case count; in
+# LZSS gate, deep where it is cheap: the workspace pass above already
+# held `compress` to the greedy reference matcher kept in
+# crates/compress/tests/identity.rs at the default case count (byte
+# identity where the search skip stays idle, a size bound elsewhere); in
 # release the same properties afford 4,096 cases each.
-echo "==> lzss byte identity vs the reference matcher (4096 cases)"
+echo "==> lzss vs the reference matcher: identity where the skip is idle, bounded elsewhere (4096 cases)"
 PROPTEST_CASES=4096 cargo test --release -q -p fidr-compress --test identity
 
 # Same idea for the table-cache index: the inline-node PipelinedTree must
