@@ -10,9 +10,9 @@
 //!   (each on a fresh system) with the min/max spread reported alongside.
 //!   Workload generation is excluded (all chunk contents are generated up
 //!   front) so only the write path is timed. Every worker count hashes
-//!   NIC batches with the same kernel (the host's fastest, printed as
-//!   `hash_kernel=`), so the ratio between worker counts measures
-//!   threading alone: lookup and precompression fanned out over the
+//!   NIC batches with the same kernel (the host's fastest batch kernel,
+//!   printed as `batch_kernel=`), so the ratio between worker counts
+//!   measures threading alone: lookup and precompression fanned out over the
 //!   persistent `fidr-pool` threads. The kernel's own effect is the
 //!   1-worker `wall_gbps_1x=` on the summary line, read against a
 //!   snapshot from another kernel; the printed `host_cpus` keeps
@@ -214,10 +214,11 @@ fn main() {
     }
     println!(
         "worker-scaling: wall_speedup_4x={:.3} modelled_speedup_4x={:.3} host_cpus={host_cpus} \
-         hash_kernel={} wall_gbps_1x={:.4}",
+         hash_kernel={} batch_kernel={} wall_gbps_1x={:.4}",
         wall[2] / wall[0],
         modelled[2] / modelled[0],
         fidr::hash::kernel_name(),
+        fidr::hash::batch_kernel_name(),
         wall[0]
     );
 }

@@ -9,6 +9,7 @@ use fidr::compress::{compress, decompress, ContentGenerator};
 use fidr::hash::{supported_kernels, Fingerprint, Sha256};
 use fidr::tables::Bucket;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -29,6 +30,32 @@ fn bench_sha256(c: &mut Criterion) {
     for (name, digest_batch) in supported_kernels() {
         g.bench_function(&format!("{name}_batch_64x4k"), |b| {
             b.iter(|| digest_batch(black_box(&batch)))
+        });
+    }
+    g.finish();
+
+    // What a batch costs the code after it: a core that ran 512-bit
+    // instructions runs slower for milliseconds. Each row times the
+    // `compress_4k_r05` chunk right after that kernel's batch (sixteen
+    // compressions per batch, about 50 µs), so the rows differ by the
+    // clock drop alone.
+    let chunk = ContentGenerator::new(0.5).chunk(2, 4096);
+    let mut g = c.benchmark_group("clock_drop");
+    g.throughput(Throughput::Bytes(4096));
+    for (name, digest_batch) in supported_kernels() {
+        g.bench_function(&format!("compress_4k_r05_after_{name}_batch_64x4k"), |b| {
+            b.iter_custom(|iters| {
+                let mut spent = Duration::ZERO;
+                for i in 0..iters {
+                    if i % 16 == 0 {
+                        black_box(digest_batch(black_box(&batch)));
+                    }
+                    let start = Instant::now();
+                    black_box(compress(black_box(&chunk)));
+                    spent += start.elapsed();
+                }
+                spent
+            })
         });
     }
     g.finish();

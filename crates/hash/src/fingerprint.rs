@@ -33,9 +33,9 @@ impl Fingerprint {
         Fingerprint(Sha256::digest(data))
     }
 
-    /// Computes the fingerprints of a whole batch of chunks through the
-    /// multi-lane SHA-256 kernel (see [`crate::digest_batch`]); the
-    /// result is byte-identical to calling [`Fingerprint::of`] per chunk.
+    /// Computes the fingerprints of a whole batch of chunks on the batch
+    /// kernel (see [`crate::digest_batch`]); the result is
+    /// byte-identical to calling [`Fingerprint::of`] per chunk.
     ///
     /// # Examples
     ///

@@ -2,7 +2,8 @@
 //!
 //! The FIDR NIC sustains line rate by instantiating several SHA-256
 //! cores and hashing a *batch* of chunks at once (paper §6.2). On a host
-//! with AVX2 but no SHA extensions this module is the software stand-in
+//! with AVX2 but neither AVX-512 nor the SHA extensions this module is
+//! the software stand-in
 //! for those parallel cores: it interleaves [`LANES`] independent
 //! messages through a single SIMD compression function, so one host
 //! thread retires eight hash streams per round. [`crate::kernel`] picks
@@ -42,7 +43,7 @@
 //!
 //! # Safety
 //!
-//! One of the crate's two `unsafe` modules (the inner [`avx2`]). An
+//! One of the crate's three `unsafe` modules (the inner [`avx2`]). An
 //! [`Avx2`] value exists only after [`Avx2::detect`] saw the host report
 //! AVX2, and the kernel is reachable only through one.
 

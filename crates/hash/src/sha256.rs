@@ -125,10 +125,10 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher in the initial state, on the fastest kernel the
-    /// host supports (see [`crate::kernel_name`]).
+    /// Creates a hasher in the initial state, on the message kernel (see
+    /// [`crate::kernel_name`]).
     pub fn new() -> Self {
-        Self::with_kernel(Kernel::active())
+        Self::with_kernel(Kernel::message())
     }
 
     /// A hasher pinned to `kernel` rather than the dispatcher's choice.
@@ -190,7 +190,7 @@ impl Sha256 {
     /// assert_eq!(d[0], 0xe3);
     /// ```
     pub fn digest(data: &[u8]) -> [u8; 32] {
-        Kernel::active().digest(data)
+        Kernel::message().digest(data)
     }
 }
 
@@ -226,8 +226,8 @@ pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
 }
 
 /// The portable scalar SHA-256 compression function over whole 512-bit
-/// blocks: the reference every other kernel is tested against, and what
-/// runs where the host offers neither SHA-NI nor AVX2.
+/// blocks: the reference every other kernel is tested against, and the
+/// message kernel where the host offers no SHA-NI.
 ///
 /// # Panics
 ///

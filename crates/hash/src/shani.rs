@@ -2,7 +2,7 @@
 //! `sha256msg2`): the CPU's own fixed-function SHA-256 rounds, and the
 //! closest thing a host has to the paper's in-NIC SHA cores (§6.2).
 //!
-//! One of the crate's two `unsafe` modules. Everything unsafe here is a
+//! One of the crate's three `unsafe` modules. Everything unsafe here is a
 //! `core::arch` call that is unsafe only because it needs CPU features
 //! the build does not assume; a [`ShaNi`] value exists only after
 //! [`ShaNi::detect`] saw the host report those features, and the kernel

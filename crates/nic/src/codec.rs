@@ -2,10 +2,11 @@
 //!
 //! A TCP stream delivers the wire protocol of [`crate::protocol`] in
 //! arbitrary slices: half a header here, three frames and a tail there.
-//! [`FramedCodec`] owns the per-connection reassembly buffer, feeding
-//! whatever bytes arrive and yielding whole [`Message`]s as they
-//! complete — the piece a serving front end puts between `read(2)` and
-//! the storage pipeline.
+//! [`FramedCodec`] owns the per-connection reassembly buffer: a socket
+//! reads straight into it ([`FramedCodec::read_from`]), or bytes read
+//! elsewhere are fed in ([`FramedCodec::feed`]), and whole [`Message`]s
+//! come out as they complete — the piece a serving front end puts
+//! between `read(2)` and the storage pipeline.
 //!
 //! # Examples
 //!
@@ -25,10 +26,11 @@
 //! ```
 
 use crate::protocol::{Decoded, Message, ProtocolError};
+use std::io::Read;
 
-/// Consumed-prefix length past which [`FramedCodec`] compacts its buffer
-/// instead of letting decoded frames accumulate.
-const COMPACT_BYTES: usize = 64 * 1024;
+/// Spare room [`FramedCodec::read_from`] offers every read, and the
+/// buffer's size after the first one.
+const READ_BYTES: usize = 64 * 1024;
 
 /// Lifetime counters of one codec (one connection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,7 +39,8 @@ pub struct CodecStats {
     pub frames_decoded: u64,
     /// Hard protocol errors (the stream is dead after the first).
     pub frames_rejected: u64,
-    /// Raw bytes accepted by [`FramedCodec::feed`].
+    /// Raw bytes accepted by [`FramedCodec::read_from`] and
+    /// [`FramedCodec::feed`].
     pub bytes_fed: u64,
 }
 
@@ -48,9 +51,11 @@ pub struct CodecStats {
 /// same error and the caller should close the connection.
 #[derive(Debug, Default)]
 pub struct FramedCodec {
+    /// Bytes `pos..end` are buffered and not yet decoded; the rest is
+    /// room for the next read.
     buf: Vec<u8>,
-    /// Bytes of `buf` already consumed by decoded frames.
     pos: usize,
+    end: usize,
     poisoned: Option<ProtocolError>,
     stats: CodecStats,
 }
@@ -61,10 +66,42 @@ impl FramedCodec {
         FramedCodec::default()
     }
 
-    /// Appends freshly read stream bytes to the reassembly buffer.
+    /// Reads once from `stream` straight into the buffer, so a socket's
+    /// bytes are copied only by the kernel. Returns what `read` returned:
+    /// `Ok(0)` is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the read failed with; nothing is buffered then.
+    pub fn read_from(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
+        let n = stream.read(self.spare(READ_BYTES))?;
+        self.end += n;
+        self.stats.bytes_fed += n as u64;
+        Ok(n)
+    }
+
+    /// Appends bytes that were read elsewhere to the reassembly buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
         self.stats.bytes_fed += bytes.len() as u64;
-        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The room past the buffered bytes, at least `want` long. The
+    /// buffered bytes move to the front only when the room is short, and
+    /// the buffer grows only when that is not enough.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.end < want {
+            if self.pos > 0 {
+                self.buf.copy_within(self.pos..self.end, 0);
+                self.end -= self.pos;
+                self.pos = 0;
+            }
+            if self.buf.len() - self.end < want {
+                self.buf.resize(self.end + want, 0);
+            }
+        }
+        &mut self.buf[self.end..]
     }
 
     /// Decodes the next whole frame, if one is buffered.
@@ -80,13 +117,15 @@ impl FramedCodec {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        match Message::decode(&self.buf[self.pos..]) {
+        match Message::decode(&self.buf[self.pos..self.end]) {
             Ok(Decoded::Frame { msg, used }) => {
                 self.pos += used;
                 self.stats.frames_decoded += 1;
-                if self.pos >= COMPACT_BYTES {
-                    self.buf.drain(..self.pos);
+                if self.pos == self.end {
+                    // Everything read is decoded: the next read starts
+                    // at the front, and no byte has to move.
                     self.pos = 0;
+                    self.end = 0;
                 }
                 Ok(Some(msg))
             }
@@ -102,7 +141,7 @@ impl FramedCodec {
     /// Undecoded bytes currently buffered (a partial frame at EOF means
     /// the peer disconnected mid-frame).
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Lifetime counters.
@@ -114,6 +153,7 @@ impl FramedCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{HEADER_BYTES, MAX_PAYLOAD_BYTES};
     use bytes::Bytes;
     use fidr_chunk::Lba;
 
@@ -196,23 +236,73 @@ mod tests {
         ));
     }
 
+    fn write_frame(lba: u64, len: usize) -> (Message, Vec<u8>) {
+        let msg = Message::Write {
+            lba: Lba(lba),
+            data: Bytes::from(vec![lba as u8; len]),
+        };
+        let frame = msg.encode().unwrap();
+        (msg, frame)
+    }
+
     #[test]
-    fn compaction_keeps_the_buffer_bounded() {
-        let frame = Message::Write {
-            lba: Lba(0),
-            data: Bytes::from(vec![1u8; 4096]),
-        }
-        .encode()
-        .unwrap();
+    fn a_drained_buffer_starts_over_at_the_front() {
+        let (_, frame) = write_frame(0, 4096);
         let mut codec = FramedCodec::new();
         for _ in 0..64 {
             codec.feed(&frame);
             assert!(codec.next_frame().unwrap().is_some());
-            assert!(
-                codec.buf.len() <= COMPACT_BYTES + frame.len(),
-                "buffer must not grow without bound"
-            );
+            assert_eq!((codec.pos, codec.end), (0, 0));
+            assert_eq!(codec.buf.len(), frame.len(), "the buffer never grew");
         }
         assert_eq!(codec.stats().frames_decoded, 64);
+    }
+
+    /// A stream that hands out at most `step` bytes per read.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn reads_land_in_the_buffer_and_it_stays_bounded() {
+        // 4-KiB frames that straddle reads, then one of the largest
+        // payload the protocol allows, which takes many reads.
+        let (mut msgs, mut stream) = (Vec::new(), Vec::new());
+        for (lba, len) in (0..40).map(|i| (i, 4096)).chain([(40, MAX_PAYLOAD_BYTES)]) {
+            let (msg, frame) = write_frame(lba, len);
+            msgs.push(msg);
+            stream.extend(frame);
+        }
+        for step in [5_000, READ_BYTES, usize::MAX] {
+            let mut src = Dribble {
+                bytes: &stream,
+                step,
+            };
+            let mut codec = FramedCodec::new();
+            let mut got = Vec::new();
+            while codec.read_from(&mut src).unwrap() > 0 {
+                while let Some(msg) = codec.next_frame().unwrap() {
+                    got.push(msg);
+                }
+                assert!(
+                    codec.buf.len() <= HEADER_BYTES + MAX_PAYLOAD_BYTES + READ_BYTES,
+                    "step {step}: a {} B buffer",
+                    codec.buf.len()
+                );
+            }
+            assert!(got == msgs, "step {step}: frames differ");
+            assert_eq!(codec.pending_bytes(), 0);
+            assert_eq!(codec.stats().bytes_fed, stream.len() as u64);
+        }
     }
 }

@@ -42,6 +42,11 @@ PROPTEST_CASES=4096 cargo test --release -q -p fidr-compress --test identity
 echo "==> pipelined tree vs the reference tree (2048 cases)"
 PROPTEST_CASES=2048 cargo test --release -q -p fidr-cache --test tree_reference
 
+# And for SHA-256: every kernel this CPU runs, one-shot and in ragged
+# batches of up to 39 messages, against the portable scalar function.
+echo "==> sha-256 kernels vs scalar (4096 cases)"
+PROPTEST_CASES=4096 cargo test --release -q -p fidr-hash
+
 # Span-export smoke test: a small traced workload must produce a
 # Perfetto-loadable fidr.spans.v1 file (the exporter validates the JSON
 # shape before writing; the greps double-check the file on disk). CI
@@ -173,23 +178,36 @@ grep -q '"server.connections.accepted.count": { "type": "counter", "value": 4 }'
 echo "    $(grep -o '"server.frames.decoded.count": { "type": "counter", "value": [0-9]*' \
   "$SERVE_DIR/metrics.json" | grep -o '[0-9]*$') frames served, 0 rejected"
 
-# Hash-kernel gate: the server names the SHA-256 kernel it dispatched to
-# on stderr. It must be the fastest one this CPU advertises, so a silent
+# Hash-kernel gate: the server names the two SHA-256 kernels it
+# dispatched to on stderr, one for single messages and one for batches.
+# Each must be the fastest this CPU advertises for its role, so a silent
 # fall-back to the 6x slower scalar core fails here instead of showing
 # up as an unexplained throughput regression. (Hosts without
-# /proc/cpuinfo only check that a kernel was named.)
-echo "==> hash kernel matches the CPU"
-if grep -qw sha_ni /proc/cpuinfo 2> /dev/null; then
-  WANT_KERNEL="sha-ni"
-elif grep -qw avx2 /proc/cpuinfo 2> /dev/null; then
-  WANT_KERNEL="avx2x8"
-elif [ -r /proc/cpuinfo ]; then
-  WANT_KERNEL="scalar"
+# /proc/cpuinfo only check that kernels were named.)
+echo "==> hash kernels match the CPU"
+cpu_has() { grep -qw "$1" /proc/cpuinfo 2> /dev/null; }
+if [ -r /proc/cpuinfo ]; then
+  if cpu_has sha_ni; then
+    WANT_KERNEL="sha-ni"
+  else
+    WANT_KERNEL="scalar"
+  fi
+  if cpu_has avx512f && cpu_has avx512bw; then
+    WANT_BATCH="avx512x16"
+  elif cpu_has sha_ni; then
+    WANT_BATCH="sha-ni"
+  elif cpu_has avx2; then
+    WANT_BATCH="avx2x8"
+  else
+    WANT_BATCH="scalar"
+  fi
 else
   WANT_KERNEL="[a-z0-9-]*"
+  WANT_BATCH="[a-z0-9-]*"
 fi
-if ! grep -qx "hash_kernel=$WANT_KERNEL" "$SERVE_DIR/serve.err"; then
-  echo "expected hash_kernel=$WANT_KERNEL, server said: $(cat "$SERVE_DIR/serve.err")" >&2
+WANT_LINE="hash_kernel=$WANT_KERNEL batch_kernel=$WANT_BATCH"
+if ! grep -qx "$WANT_LINE" "$SERVE_DIR/serve.err"; then
+  echo "expected $WANT_LINE, server said: $(cat "$SERVE_DIR/serve.err")" >&2
   exit 1
 fi
 echo "    $(cat "$SERVE_DIR/serve.err")"

@@ -589,8 +589,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let handle = Server::spawn(cfg).map_err(|e| format!("bind: {e}"))?;
     let addr = handle.local_addr();
     println!("listening on {addr}");
-    // Host property, so stderr only: exports stay identical across hosts.
-    eprintln!("hash_kernel={}", fidr::hash::kernel_name());
+    // Host properties, so stderr only: exports stay identical across hosts.
+    eprintln!(
+        "hash_kernel={} batch_kernel={}",
+        fidr::hash::kernel_name(),
+        fidr::hash::batch_kernel_name()
+    );
     if let Some(path) = flags.get("port-file").filter(|p| !p.is_empty()) {
         // Atomic publish (temp file + rename): readers either see no
         // file yet or a whole `host:port` line, never a torn write.

@@ -3,8 +3,8 @@
 //!
 //! [`crate::client::StorageClient`], the storage server's connection
 //! threads and the `fidr route` front tier's all move frames through a
-//! [`FrameConn`]: the stream, its [`FramedCodec`] and the one read
-//! buffer. It is generic over `Read + Write`, so a test can drive it
+//! [`FrameConn`]: the stream and the [`FramedCodec`] its reads land in.
+//! It is generic over `Read + Write`, so a test can drive it
 //! with a scripted in-memory stream instead of a socket. The crate-private
 //! `Listener` is the half the two servers share: the non-blocking accept
 //! loop, the conns-limit drain, and the joining of every thread it
@@ -46,12 +46,11 @@ pub enum Recv {
     Closed,
 }
 
-/// One end of a wire-protocol connection: a stream, the codec that
-/// reassembles its frames, and the buffer reads land in.
+/// One end of a wire-protocol connection: a stream, and the codec whose
+/// buffer its reads land in and whose frames it yields.
 pub struct FrameConn<S> {
     stream: S,
     codec: FramedCodec,
-    buf: Vec<u8>,
 }
 
 impl<S: Read + Write> FrameConn<S> {
@@ -60,7 +59,6 @@ impl<S: Read + Write> FrameConn<S> {
         FrameConn {
             stream,
             codec: FramedCodec::new(),
-            buf: vec![0u8; 64 * 1024],
         }
     }
 
@@ -83,10 +81,10 @@ impl<S: Read + Write> FrameConn<S> {
             if let Some(msg) = self.codec.next_frame()? {
                 return Ok(Recv::Frame(msg));
             }
-            match self.stream.read(&mut self.buf) {
+            match self.codec.read_from(&mut self.stream) {
                 Ok(0) if self.codec.pending_bytes() == 0 => return Ok(Recv::Closed),
                 Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => self.codec.feed(&self.buf[..n]),
+                Ok(_) => {}
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Ok(Recv::Idle)
                 }
