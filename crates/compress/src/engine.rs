@@ -56,6 +56,17 @@ impl CompressedChunk {
         }
     }
 
+    /// Rebuilds a chunk from the fields a container stores for it: its
+    /// encoding, original length and payload. Nothing is compressed or
+    /// checked; appending the result writes exactly these bytes again.
+    pub fn from_stored(encoding: Encoding, original_len: u32, payload: Vec<u8>) -> Self {
+        CompressedChunk {
+            encoding,
+            payload,
+            original_len,
+        }
+    }
+
     /// Recovers the original bytes.
     ///
     /// # Errors
@@ -125,6 +136,16 @@ mod tests {
         assert_eq!(cc.encoding(), Encoding::Raw);
         assert_eq!(cc.stored_len(), data.len());
         assert_eq!(cc.decompress().unwrap(), data);
+    }
+
+    #[test]
+    fn a_chunk_rebuilt_from_its_stored_fields_is_the_same_chunk() {
+        for data in [vec![1u8; 4096], (0..=255u8).collect()] {
+            let cc = CompressedChunk::compress(&data);
+            let len = cc.original_len() as u32;
+            let rebuilt = CompressedChunk::from_stored(cc.encoding(), len, cc.payload().to_vec());
+            assert_eq!(rebuilt, cc);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::retry::RetryState;
 use fidr_chunk::{IdMap, Pba};
 use fidr_faults::{FaultInjector, FaultSite, RetryPolicy};
 use fidr_metrics::{Histogram, MetricsSnapshot};
-use fidr_tables::{Container, ContainerReadError, CHUNK_HEADER_BYTES};
+use fidr_tables::{ChunkRegion, Container, ContainerReadError, CHUNK_HEADER_BYTES};
 use std::fmt;
 use std::time::Duration;
 
@@ -236,6 +236,25 @@ impl DataSsdArray {
         Ok(data)
     }
 
+    /// Lends the stored region at `pba` without reading it: no IO is
+    /// counted and no fault fires. A caller that already read the chunk
+    /// through [`read_chunk`](Self::read_chunk) uses it to move the
+    /// chunk's stored bytes elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// [`DataSsdError::UnknownContainer`] if the container does not exist,
+    /// [`DataSsdError::Corrupt`] if the region does not parse.
+    pub fn region(&self, pba: Pba) -> Result<ChunkRegion<'_>, DataSsdError> {
+        let container = self
+            .containers
+            .get(&pba.container)
+            .ok_or(DataSsdError::UnknownContainer(pba.container))?;
+        container
+            .region(pba.offset, pba.compressed_len)
+            .map_err(DataSsdError::Corrupt)
+    }
+
     /// Device time for a chunk read of `bytes` (latency model input).
     pub fn read_time(&self, bytes: u64) -> Duration {
         self.spec.read_time(bytes)
@@ -323,6 +342,27 @@ mod tests {
         assert_eq!(array.read_chunk(pba).unwrap(), data);
         assert_eq!(array.stats().write_ios, 1);
         assert_eq!(array.stats().read_ios, 1);
+    }
+
+    #[test]
+    fn a_lent_region_counts_no_io() {
+        let mut array = DataSsdArray::new(1);
+        let (c, pba) = sealed(4, 0x3c);
+        array.write_container(c).unwrap();
+        let region = array.region(pba).unwrap();
+        assert_eq!(
+            region.to_chunk(),
+            CompressedChunk::compress(&[0x3cu8; 4096])
+        );
+        assert_eq!(array.stats().read_ios, 0);
+        let missing = Pba {
+            container: 5,
+            ..pba
+        };
+        assert_eq!(
+            array.region(missing),
+            Err(DataSsdError::UnknownContainer(5))
+        );
     }
 
     #[test]

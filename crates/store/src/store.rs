@@ -38,8 +38,8 @@ impl DataPath {
         }
     }
 
-    /// A GC survivor (`io_bytes` stored, `raw_bytes` decompressed) is
-    /// read back for recompression.
+    /// A GC survivor (`io_bytes` stored, `raw_bytes` decoded) is read back
+    /// into the Compression Engine, which verifies it before the move.
     fn charge_survivor_read(self, ledger: &mut Ledger, io_bytes: u64, raw_bytes: u64) {
         let (fpga, staging) = (PcieLink::HostCompression, MemPath::FpgaStaging);
         match self {
@@ -52,7 +52,7 @@ impl DataPath {
         }
     }
 
-    /// The recompressed survivor (`stored` bytes) reaches the open
+    /// The survivor's stored region (`stored` bytes) reaches the open
     /// container's staging memory.
     fn charge_survivor_staged(self, ledger: &mut Ledger, stored: u64) {
         let (fpga, staging) = (PcieLink::HostCompression, MemPath::FpgaStaging);
@@ -60,6 +60,26 @@ impl DataPath {
             DataPath::PeerToPeer => ledger.fpga_dram_bytes += stored,
             DataPath::HostStaged => ops::dma_to_host(ledger, fpga, staging, stored),
         }
+    }
+}
+
+/// Chunks fetched and verified together by compaction and the integrity
+/// scrub: the lane count of the widest batch SHA-256 kernel, so one
+/// group is one batch hash and at most 64 KiB of decoded chunks are held.
+const VERIFY_GROUP: usize = 16;
+
+fn pba_of(loc: PbnLocation) -> Pba {
+    Pba {
+        container: loc.container,
+        offset: loc.offset,
+        compressed_len: loc.compressed_len,
+    }
+}
+
+fn ssd_error(e: DataSsdError) -> StoreError {
+    match e {
+        DataSsdError::Io { .. } => StoreError::Io(e.to_string()),
+        _ => StoreError::Corrupt(e.to_string()),
     }
 }
 
@@ -352,9 +372,10 @@ impl ChunkStore {
 
     /// Compresses one chunk in the (modelled) compression hardware,
     /// timing the real LZSS work and tracking the achieved ratio. `pre`
-    /// is a `(chunk, wall-clock)` pair precompressed on a worker pool:
-    /// the stats, span and modelled time recorded here are identical
-    /// either way; only the raw LZSS compute is skipped.
+    /// is a `(chunk, wall-clock)` pair already in hand — precompressed on
+    /// a worker pool, or a GC survivor's stored region and the time its
+    /// copy took: the stats, span and modelled time recorded here are
+    /// identical either way; only the raw LZSS compute is skipped.
     pub fn compress_chunk_with(
         &mut self,
         data: &[u8],
@@ -486,15 +507,12 @@ impl ChunkStore {
             let open = self.builder.read_chunk(loc.offset, loc.compressed_len);
             return open.map_err(|e| StoreError::Corrupt(e.to_string()));
         }
-        let pba = Pba {
-            container: loc.container,
-            offset: loc.offset,
-            compressed_len: loc.compressed_len,
-        };
-        self.data_ssd.read_chunk(pba).map_err(|e| match e {
-            DataSsdError::Io { .. } => StoreError::Io(e.to_string()),
-            _ => StoreError::Corrupt(e.to_string()),
-        })
+        self.data_ssd.read_chunk(pba_of(loc)).map_err(ssd_error)
+    }
+
+    fn recorded_fingerprint(&self, pbn: Pbn) -> Result<Fingerprint, StoreError> {
+        let fp = self.lba_map.fingerprint(pbn);
+        fp.ok_or_else(|| StoreError::Corrupt(format!("{pbn} has no record")))
     }
 
     /// Fetches chunk `pbn` from `loc` and verifies the returned bytes
@@ -514,12 +532,44 @@ impl ChunkStore {
         pbn: Pbn,
         loc: PbnLocation,
     ) -> Result<Vec<u8>, StoreError> {
-        let expect = self.lba_map.fingerprint(pbn);
-        let expect = expect.ok_or_else(|| StoreError::Corrupt(format!("{pbn} has no record")))?;
+        let expect = self.recorded_fingerprint(pbn)?;
         let data = self.fetch_chunk(loc)?;
         if Fingerprint::of(&data) == expect {
             return Ok(data);
         }
+        self.reread_until_verified(loc, expect)
+    }
+
+    /// [`fetch_chunk_verified`](Self::fetch_chunk_verified) for up to
+    /// [`VERIFY_GROUP`] chunks: every first read, then one batch hash for
+    /// the group. Each mismatch goes through the same re-reads, in group
+    /// order, and the first error ends the group.
+    fn fetch_group_verified(
+        &mut self,
+        group: &[(Pbn, PbnLocation)],
+    ) -> Result<Vec<Vec<u8>>, StoreError> {
+        let mut data = Vec::with_capacity(group.len());
+        for &(_, loc) in group {
+            data.push(self.fetch_chunk(loc)?);
+        }
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let got = Fingerprint::of_batch(&refs);
+        for ((&(pbn, loc), got), chunk) in group.iter().zip(got).zip(&mut data) {
+            let expect = self.recorded_fingerprint(pbn)?;
+            if got != expect {
+                *chunk = self.reread_until_verified(loc, expect)?;
+            }
+        }
+        Ok(data)
+    }
+
+    /// The re-read half of a verified fetch, entered once the first read
+    /// of `loc` mismatched `expect`.
+    fn reread_until_verified(
+        &mut self,
+        loc: PbnLocation,
+        expect: Fingerprint,
+    ) -> Result<Vec<u8>, StoreError> {
         self.counters.read_repair_detected += 1;
         for attempt in 0..self.retry.max_retries {
             self.counters.read_repair_rereads += 1;
@@ -639,22 +689,28 @@ impl ChunkStore {
             if container == self.builder.id() {
                 continue; // never compact the still-open container
             }
-            // Clone rather than remove: an error mid-compaction (a failed
+            // Read rather than remove: an error mid-compaction (a failed
             // seal, an unreadable survivor) must leave the survivor list
             // intact so a later pass can finish the move — otherwise the
             // next pass would see an "empty" container and drop it while
             // live chunks still point there. The entry is only discarded
             // once every survivor is safely relocated.
-            let pbns = self.container_pbns.get(&container).cloned();
-            for pbn in pbns.unwrap_or_default() {
-                if self.lba_map.refcount(pbn) == 0 {
-                    continue;
+            let pbns = self
+                .container_pbns
+                .get(&container)
+                .map_or(&[][..], Vec::as_slice);
+            let survivors: Vec<(Pbn, PbnLocation)> = pbns
+                .iter()
+                .filter(|&&pbn| self.lba_map.refcount(pbn) > 0)
+                .map(|&pbn| (pbn, self.lba_map.location(pbn).expect("live PBN located")))
+                // A survivor elsewhere was moved by an earlier pass.
+                .filter(|(_, loc)| loc.container == container)
+                .collect();
+            for group in survivors.chunks(VERIFY_GROUP) {
+                let data = self.fetch_group_verified(group)?;
+                for (&(pbn, loc), data) in group.iter().zip(&data) {
+                    self.move_survivor(pbn, loc, data, &mut report)?;
                 }
-                let loc = self.lba_map.location(pbn).expect("live PBN located");
-                if loc.container != container {
-                    continue; // already moved by an earlier pass
-                }
-                self.move_survivor(pbn, loc, &mut report)?;
             }
             self.container_pbns.remove(&container);
             if let Some(freed) = self.data_ssd.remove_container(container) {
@@ -668,17 +724,31 @@ impl ChunkStore {
         Ok(report)
     }
 
-    /// Rewrites one live chunk of a container under compaction into the
-    /// open container: read back (verified against its fingerprint, so
-    /// compaction never propagates a transient read corruption),
-    /// recompress, restage, repoint.
+    /// Moves one live chunk of a container under compaction into the open
+    /// container and repoints it. `data` is the chunk as read back and
+    /// verified against its fingerprint, so compaction never propagates a
+    /// transient read corruption. What moves is the chunk's stored
+    /// region, copied as it is: LZSS is deterministic, so these are the
+    /// bytes compressing `data` again would produce. The region is moved
+    /// only if it decodes to `data`: a stored corruption that an
+    /// in-flight flip happened to cancel out must not travel.
     fn move_survivor(
         &mut self,
         pbn: Pbn,
         loc: PbnLocation,
+        data: &[u8],
         report: &mut GcReport,
     ) -> Result<(), StoreError> {
-        let data = self.fetch_chunk_verified(pbn, loc)?;
+        let started = Instant::now();
+        let region = self.data_ssd.region(pba_of(loc)).map_err(ssd_error)?;
+        if region.decode().as_deref() != Ok(data) {
+            return Err(StoreError::Corrupt(format!(
+                "container {} offset {} does not decode to its verified read",
+                loc.container, loc.offset
+            )));
+        }
+        let pre = (region.to_chunk(), started.elapsed());
+
         let io_bytes = loc.compressed_len as u64 + 4;
         let path = self.path;
         path.charge_survivor_read(&mut self.ledger, io_bytes, data.len() as u64);
@@ -686,7 +756,7 @@ impl ChunkStore {
             .charge_cpu(CpuTask::DataSsdStack, self.cost.data_ssd_io_cycles);
         self.ledger.data_ssd_read_bytes += io_bytes;
 
-        let compressed = self.compress_chunk_with(&data, None);
+        let compressed = self.compress_chunk_with(data, Some(pre));
         let stored = compressed.stored_len() as u64;
         path.charge_survivor_staged(&mut self.ledger, stored);
         report.copied_bytes += stored;
@@ -748,9 +818,10 @@ impl ChunkStore {
 
     /// Background integrity scrub (fsck): reads every live chunk back
     /// through the normal datapath and checks its SHA-256 against the
-    /// recorded fingerprint. Transient read corruption is healed by
-    /// bounded re-reads and counts as verified; only persistent
-    /// mismatches fail the scrub. Returns the number of chunks verified.
+    /// recorded fingerprint, sixteen chunks to a batch hash.
+    /// Transient read corruption is healed by bounded re-reads and counts
+    /// as verified; only persistent mismatches fail the scrub. Returns
+    /// the number of chunks verified.
     ///
     /// # Errors
     ///
@@ -762,8 +833,8 @@ impl ChunkStore {
             .pbn_entries()
             .filter(|(pbn, _)| self.lba_map.refcount(*pbn) > 0)
             .collect();
-        for &(pbn, loc) in &live {
-            self.fetch_chunk_verified(pbn, loc)?;
+        for group in live.chunks(VERIFY_GROUP) {
+            self.fetch_group_verified(group)?;
         }
         Ok(live.len() as u64)
     }
@@ -836,23 +907,31 @@ mod tests {
 
     impl Rig {
         fn new(path: DataPath, plan: FaultPlan) -> Self {
+            Rig::with_threshold(path, plan, 64 << 10)
+        }
+
+        fn with_threshold(path: DataPath, plan: FaultPlan, container_threshold: usize) -> Self {
             let (cost, retry, trace) = Default::default();
             let faults = FaultInjector::new(plan);
+            let store = ChunkStore::new(path, container_threshold, 2, cost, retry, trace, faults);
             Rig {
-                store: ChunkStore::new(path, 64 << 10, 2, cost, retry, trace, faults),
+                store,
                 table: HashPbnStore::new(1 << 12),
             }
         }
 
         /// Writes content `tag` at `lba`; returns the chunk's PBN.
         fn write(&mut self, lba: u64, tag: u64) -> Result<Pbn, StoreError> {
-            let data = content(tag);
-            let fp = Fingerprint::of(&data);
+            self.write_data(lba, &content(tag))
+        }
+
+        fn write_data(&mut self, lba: u64, data: &[u8]) -> Result<Pbn, StoreError> {
+            let fp = Fingerprint::of(data);
             if let Some(pbn) = self.table.lookup(&fp) {
                 self.store.map(Lba(lba), pbn);
                 return Ok(pbn);
             }
-            let compressed = self.store.compress_chunk_with(&data, None);
+            let compressed = self.store.compress_chunk_with(data, None);
             let pbn = self.store.stage(Lba(lba), fp, &compressed, None)?;
             self.table.insert(fp, pbn)?;
             self.store.seal_if_full()?;
@@ -1093,5 +1172,173 @@ mod tests {
         assert!(staged.mem_bytes(MemPath::FpgaStaging) > 0);
         // Same bytes either way.
         assert_eq!(p2p.data_ssd_write_bytes, staged.data_ssd_write_bytes);
+    }
+
+    /// Live chunks per container on either side of one and two verify
+    /// groups, and of nine, where `digest_batch` leaves the message
+    /// kernel for the lane kernel.
+    const GROUP_EDGES: [usize; 7] = [1, 8, 9, 15, 16, 17, 33];
+
+    /// 4 KiB of xorshift noise: LZSS cannot shrink it, so it is stored raw.
+    fn noise() -> Vec<u8> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 32) as u8
+        };
+        (0..4096).map(|_| next()).collect()
+    }
+
+    /// A rig whose one sealed container, id 0, holds 40 chunks, of which
+    /// `survivors` are still mapped, spread across the container. LBA 0
+    /// is always one of them, and its content is stored raw. Returns the
+    /// rig and each survivor's LBA and content, in LBA order.
+    fn sparse_container(path: DataPath, survivors: usize) -> (Rig, Vec<(u64, Vec<u8>)>) {
+        let mut r = Rig::with_threshold(path, FaultPlan::default(), 1 << 20);
+        let mut live = Vec::new();
+        for lba in 0..40u64 {
+            let data = match lba {
+                0 => noise(),
+                _ => content(lba),
+            };
+            r.write_data(lba, &data).unwrap();
+            // Seven is coprime to 40: the survivors are spread out.
+            if (lba as usize * 7) % 40 < survivors {
+                live.push((lba, data));
+            } else {
+                r.store.unmap(Lba(lba)).unwrap();
+            }
+        }
+        r.store.seal_open().unwrap();
+        assert_eq!(r.store.data_ssd.container_count(), 1);
+        (r, live)
+    }
+
+    /// The stored region `lba` maps to, as a chunk.
+    fn stored_region(r: &Rig, lba: u64) -> CompressedChunk {
+        let (_, loc) = r.store.locate(Lba(lba)).unwrap();
+        r.store.data_ssd.region(pba_of(loc)).unwrap().to_chunk()
+    }
+
+    /// Flips one bit of chunk `pbn`'s stored payload, `at` bytes in.
+    fn rot(r: &mut Rig, pbn: Pbn, at: usize) {
+        let loc = r.store.lba_map.location(pbn).unwrap();
+        let byte = loc.offset as usize + fidr_tables::CHUNK_HEADER_BYTES + at;
+        assert!(r.store.inject_data_corruption(loc.container, byte));
+    }
+
+    #[test]
+    fn compaction_moves_each_survivors_stored_region_byte_for_byte() {
+        for path in [DataPath::PeerToPeer, DataPath::HostStaged] {
+            for survivors in GROUP_EDGES {
+                let (mut r, live) = sparse_container(path, survivors);
+                let case = format!("{path:?}, {survivors} survivors");
+                let old: Vec<CompressedChunk> = live
+                    .iter()
+                    .map(|&(lba, _)| stored_region(&r, lba))
+                    .collect();
+                let again: Vec<CompressedChunk> = live
+                    .iter()
+                    .map(|(_, data)| CompressedChunk::compress(data))
+                    .collect();
+                assert_eq!(old, again, "{case}: LZSS is deterministic");
+                assert_eq!(again[0].encoding(), Encoding::Raw, "{case}");
+                // What compressing every survivor again would record.
+                let c = &r.store.counters;
+                let (mut pct, mut lzss, mut raw) = (
+                    c.compress_pct.clone(),
+                    c.compress_lzss_chunks,
+                    c.compress_raw_chunks,
+                );
+                for chunk in &again {
+                    pct.record((chunk.ratio() * 100.0).round() as u64);
+                    match chunk.encoding() {
+                        Encoding::Lzss => lzss += 1,
+                        Encoding::Raw => raw += 1,
+                    }
+                }
+                let copied: u64 = again.iter().map(|c| c.stored_len() as u64).sum();
+
+                let report = r.gc(1.1).unwrap();
+                assert_eq!(report.moved_chunks, survivors as u64, "{case}");
+                assert_eq!(report.copied_bytes, copied, "{case}");
+                let c = &r.store.counters;
+                let counts = (c.compress_lzss_chunks, c.compress_raw_chunks);
+                assert_eq!(counts, (lzss, raw), "{case}");
+                assert_eq!(c.compress_pct.snapshot(), pct.snapshot(), "{case}");
+                assert_eq!(c.compress_ns.count(), pct.count(), "{case}");
+                r.store.seal_open().unwrap();
+                assert_eq!(
+                    r.store.data_ssd.container_count(),
+                    1,
+                    "{case}: old one dropped"
+                );
+                for ((lba, data), old) in live.iter().zip(&old) {
+                    assert_eq!(r.store.locate(Lba(*lba)).unwrap().1.container, 1);
+                    assert_eq!(&stored_region(&r, *lba), old, "{case}: LBA {lba}");
+                    assert_eq!(&r.read(*lba).unwrap(), data, "{case}: LBA {lba}");
+                }
+                assert_eq!(r.store.verify_integrity(), Ok(survivors as u64), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_scrub_and_compaction_verify_the_last_chunk_at_every_group_edge() {
+        for path in [DataPath::PeerToPeer, DataPath::HostStaged] {
+            for survivors in GROUP_EDGES {
+                let case = format!("{path:?}, {survivors} survivors");
+                let (mut r, live) = sparse_container(path, survivors);
+                assert_eq!(r.store.verify_integrity(), Ok(survivors as u64), "{case}");
+                let scrub_order = r.store.lba_map.pbn_entries();
+                let last = scrub_order
+                    .filter(|&(pbn, _)| r.store.refcount(pbn) > 0)
+                    .last();
+                rot(&mut r, last.unwrap().0, 100);
+                let err = r.store.verify_integrity().unwrap_err();
+                assert_eq!(err.kind(), "corrupt", "{case}");
+
+                let (mut r, live_too) = sparse_container(path, survivors);
+                assert_eq!(live, live_too);
+                let move_order = r.store.container_pbns[&0].iter().copied();
+                let last = move_order.rev().find(|&pbn| r.store.refcount(pbn) > 0);
+                let last = last.unwrap();
+                rot(&mut r, last, 100);
+                assert_eq!(r.gc(1.1).unwrap_err().kind(), "corrupt", "{case}");
+                assert_eq!(r.store.liveness.live_chunks(0), survivors as u32, "{case}");
+                assert!(r.store.container_pbns.contains_key(&0), "{case}: kept");
+                for (lba, data) in &live {
+                    if r.store.locate(Lba(*lba)).unwrap().0 != last {
+                        assert_eq!(&r.read(*lba).unwrap(), data, "{case}: LBA {lba}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stored_flip_that_an_in_flight_flip_cancels_does_not_move() {
+        for path in [DataPath::PeerToPeer, DataPath::HostStaged] {
+            // The one survivor is the raw chunk at LBA 0. Every read now
+            // flips bit 0 of its first byte in flight, and the same bit is
+            // flipped on the device: the read verifies, the region is bad.
+            let (mut r, _) = sparse_container(path, 1);
+            let always = FaultPlan {
+                data_read_corrupt: 1.0,
+                ..FaultPlan::default()
+            };
+            let retry = r.store.retry;
+            let faults = FaultInjector::new(always);
+            r.store.data_ssd.set_fault_injector(faults, retry);
+            let (raw, _) = r.store.locate(Lba(0)).unwrap();
+            rot(&mut r, raw, 0);
+            let err = r.gc(1.1).unwrap_err();
+            assert!(err.to_string().contains("verified read"), "{path:?}: {err}");
+            assert_eq!(r.store.counters.read_repair_detected, 0, "it verified");
+            assert!(r.store.container_pbns.contains_key(&0), "{path:?}: kept");
+            assert_eq!(r.store.builder.len(), 0, "{path:?}: nothing appended");
+        }
     }
 }

@@ -33,31 +33,67 @@ impl fmt::Display for ContainerReadError {
 
 impl std::error::Error for ContainerReadError {}
 
-/// Decodes the chunk region at `offset` of `bytes` (a sealed container's
-/// or a builder's): header, then the payload straight from the slice.
-fn decode_region(
-    bytes: &[u8],
-    offset: u32,
-    compressed_len: u32,
-) -> Result<Vec<u8>, ContainerReadError> {
-    let start = offset as usize;
-    let end = start + CHUNK_HEADER_BYTES + compressed_len as usize;
-    if end > bytes.len() {
-        return Err(ContainerReadError {
-            detail: "chunk region out of bounds",
-        });
+/// One chunk's region inside a container, as stored: the header's fields
+/// and a borrow of the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkRegion<'a> {
+    encoding: Encoding,
+    original_len: u32,
+    payload: &'a [u8],
+}
+
+impl<'a> ChunkRegion<'a> {
+    /// Parses the region at `offset` of `bytes` (a sealed container's or
+    /// a builder's): header, then a `compressed_len`-byte payload.
+    fn parse(
+        bytes: &'a [u8],
+        offset: u32,
+        compressed_len: u32,
+    ) -> Result<Self, ContainerReadError> {
+        let start = offset as usize;
+        let end = start + CHUNK_HEADER_BYTES + compressed_len as usize;
+        if end > bytes.len() {
+            return Err(ContainerReadError {
+                detail: "chunk region out of bounds",
+            });
+        }
+        let header = &bytes[start..start + CHUNK_HEADER_BYTES];
+        let encoding = match header[0] {
+            0 => Encoding::Raw,
+            1 => Encoding::Lzss,
+            _ => {
+                return Err(ContainerReadError {
+                    detail: "unknown encoding byte",
+                })
+            }
+        };
+        Ok(ChunkRegion {
+            encoding,
+            original_len: u32::from_le_bytes([header[1], header[2], header[3], 0]),
+            payload: &bytes[start + CHUNK_HEADER_BYTES..end],
+        })
     }
-    let header = &bytes[start..start + CHUNK_HEADER_BYTES];
-    let original_len = u32::from_le_bytes([header[1], header[2], header[3], 0]);
-    let payload = &bytes[start + CHUNK_HEADER_BYTES..end];
-    match header[0] {
-        0 => Ok(payload.to_vec()),
-        1 => decompress(payload, original_len as usize).map_err(|_| ContainerReadError {
-            detail: "payload decompression failed",
-        }),
-        _ => Err(ContainerReadError {
-            detail: "unknown encoding byte",
-        }),
+
+    /// Decodes the payload back to the chunk's bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ContainerReadError`] if decompression fails.
+    pub fn decode(&self) -> Result<Vec<u8>, ContainerReadError> {
+        match self.encoding {
+            Encoding::Raw => Ok(self.payload.to_vec()),
+            Encoding::Lzss => decompress(self.payload, self.original_len as usize).map_err(|_| {
+                ContainerReadError {
+                    detail: "payload decompression failed",
+                }
+            }),
+        }
+    }
+
+    /// An owned copy of the stored chunk: appended to another container,
+    /// it writes exactly this region again.
+    pub fn to_chunk(&self) -> CompressedChunk {
+        CompressedChunk::from_stored(self.encoding, self.original_len, self.payload.to_vec())
     }
 }
 
@@ -83,7 +119,22 @@ impl Container {
         offset: u32,
         compressed_len: u32,
     ) -> Result<Vec<u8>, ContainerReadError> {
-        decode_region(&self.bytes, offset, compressed_len)
+        self.region(offset, compressed_len)?.decode()
+    }
+
+    /// Lends the stored region [`read_chunk`](Self::read_chunk) decodes,
+    /// without decoding it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ContainerReadError`] if the region is out of bounds or
+    /// the encoding byte is unknown.
+    pub fn region(
+        &self,
+        offset: u32,
+        compressed_len: u32,
+    ) -> Result<ChunkRegion<'_>, ContainerReadError> {
+        ChunkRegion::parse(&self.bytes, offset, compressed_len)
     }
 
     /// Container size in bytes.
@@ -220,7 +271,7 @@ impl ContainerBuilder {
         offset: u32,
         compressed_len: u32,
     ) -> Result<Vec<u8>, ContainerReadError> {
-        decode_region(&self.bytes, offset, compressed_len)
+        ChunkRegion::parse(&self.bytes, offset, compressed_len)?.decode()
     }
 
     /// Seals the container for writing to the data SSDs.
@@ -315,6 +366,26 @@ mod tests {
             "a chunk crossed the threshold"
         );
         assert_eq!(b.seal().bytes.as_ptr(), buffer, "the buffer never grew");
+    }
+
+    #[test]
+    fn a_lent_region_appends_as_the_same_bytes() {
+        let chunks = [
+            CompressedChunk::compress(&[4u8; 4096]),
+            CompressedChunk::compress(&(0..=255u8).collect::<Vec<_>>()),
+        ];
+        assert_eq!(chunks[1].encoding(), Encoding::Raw);
+        let mut from = ContainerBuilder::new(0, 1 << 20);
+        let slots: Vec<AppendSlot> = chunks.iter().map(|cc| from.append(cc)).collect();
+        let from = from.seal();
+        let mut to = ContainerBuilder::new(1, 1 << 20);
+        for (cc, slot) in chunks.iter().zip(&slots) {
+            let region = from.region(slot.offset, slot.compressed_len).unwrap();
+            assert_eq!(&region.to_chunk(), cc);
+            assert_eq!(region.decode().unwrap(), cc.decompress().unwrap());
+            to.append(&region.to_chunk());
+        }
+        assert_eq!(to.seal().bytes, from.bytes);
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod snapshot;
 
 pub use bucket::{Bucket, BucketInsertError, BUCKET_BYTES, ENTRIES_PER_BUCKET, ENTRY_BYTES};
 pub use container::{
-    AppendSlot, Container, ContainerBuilder, ContainerReadError, CHUNK_HEADER_BYTES,
+    AppendSlot, ChunkRegion, Container, ContainerBuilder, ContainerReadError, CHUNK_HEADER_BYTES,
     CONTAINER_THRESHOLD,
 };
 pub use hash_pbn::HashPbnStore;

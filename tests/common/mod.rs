@@ -53,6 +53,8 @@ pub trait Engine: Sized {
     fn checkpoint(&mut self) -> Result<Snapshot, FidrError>;
     fn verify_integrity(&mut self) -> Result<u64, FidrError>;
     fn pending_dead_chunks(&self) -> usize;
+    fn metrics(&self) -> MetricsSnapshot;
+    fn inject_data_corruption(&mut self, container: u64, byte: usize) -> bool;
 }
 
 fn fidr_cfg(plan: FaultPlan) -> FidrConfig {
@@ -104,6 +106,12 @@ macro_rules! impl_engine {
             }
             fn pending_dead_chunks(&self) -> usize {
                 $system::pending_dead_chunks(self)
+            }
+            fn metrics(&self) -> MetricsSnapshot {
+                $system::metrics(self)
+            }
+            fn inject_data_corruption(&mut self, container: u64, byte: usize) -> bool {
+                $system::inject_data_corruption(self, container, byte)
             }
         }
     };

@@ -19,7 +19,7 @@ use fidr::compress::ContentGenerator;
 use fidr::core::{FidrConfig, FidrSystem, Snapshot};
 use fidr::faults::FaultPlan;
 use fidr::ssd::{DataSsdArray, DataSsdError};
-use fidr::tables::ContainerBuilder;
+use fidr::tables::{ContainerBuilder, CHUNK_HEADER_BYTES};
 
 fn chunk(gen: &ContentGenerator, tag: u64) -> Bytes {
     Bytes::from(gen.chunk(tag, 4096))
@@ -472,9 +472,86 @@ fn acked_deletes_survive_recovery<E: Engine>() {
     restored.verify_integrity().expect("clean scrub");
 }
 
+fn compaction_under_in_flight_corruption_moves_only_verified_chunks<E: Engine>() {
+    // Compaction moves each survivor's stored region only after its read
+    // verified; a read corrupted in flight is re-read first. Once the
+    // faults are gone, the moved store must be exact.
+    let gen = ContentGenerator::new(0.5);
+    let mut sys = E::new(FaultPlan::default());
+    let live = age_store(&mut sys, &gen);
+    let image = sys.checkpoint().unwrap().encode();
+    // At 0.3, a mismatch outlives the four re-reads 0.8 % of the time;
+    // this seed's all land.
+    let plan = FaultPlan::parse("seed=1,corrupt=0.3").unwrap();
+    let mut faulty = E::restore(plan, Snapshot::decode(&image).unwrap());
+    let report = faulty.collect_garbage(0.9).unwrap();
+    assert!(report.moved_chunks > 0, "{report:?}");
+    let m = faulty.metrics();
+    let detected = m.counter("retry.read_repair.detected").unwrap_or(0);
+    assert!(detected > 0, "corrupt=0.3 must hit some survivor reads");
+    assert_eq!(m.counter("retry.read_repair.repaired"), Some(detected));
+
+    let mut moved = E::restore(FaultPlan::default(), faulty.checkpoint().unwrap());
+    for (&lba, &tag) in &live {
+        assert_eq!(
+            moved.read(Lba(lba)).unwrap(),
+            gen.chunk(tag, 4096),
+            "lba {lba}"
+        );
+    }
+    assert_eq!(moved.verify_integrity().unwrap(), live.len() as u64);
+}
+
+fn compaction_keeps_a_container_whose_stored_bytes_rot<E: Engine>() {
+    // A survivor whose stored bytes are wrong fails every verified read:
+    // the pass must stop with `Corrupt` rather than move it, and keep
+    // the container it lives in.
+    let gen = ContentGenerator::new(0.5);
+    let mut sys = E::new(FaultPlan::default());
+    let live = age_store(&mut sys, &gen);
+    let image = sys.checkpoint().unwrap();
+    let victim = image
+        .liveness
+        .iter()
+        .filter(|&&(_, live, total)| live > 0 && f64::from(live) < 0.9 * f64::from(total))
+        .map(|&(container, ..)| container)
+        .min()
+        .expect("churn left a sparse container with survivors");
+    let located: HashMap<_, _> = image.pbns.iter().copied().collect();
+    let (rotten, loc) = image
+        .lbas
+        .iter()
+        .map(|&(lba, pbn)| (lba, located[&pbn]))
+        .filter(|(_, loc)| loc.container == victim)
+        .max_by_key(|(_, loc)| loc.offset)
+        .unwrap();
+    let byte = loc.offset as usize + CHUNK_HEADER_BYTES + loc.compressed_len as usize / 2;
+    assert!(sys.inject_data_corruption(victim, byte));
+
+    let err = sys.collect_garbage(0.9).unwrap_err();
+    assert_eq!(err.kind(), "corrupt", "{err}");
+    let after = sys.checkpoint().unwrap();
+    assert!(
+        after.containers.iter().any(|c| c.id == victim),
+        "the container under compaction is kept"
+    );
+    for (&lba, &tag) in &live {
+        if Lba(lba) != rotten {
+            assert_eq!(
+                sys.read(Lba(lba)).unwrap(),
+                gen.chunk(tag, 4096),
+                "lba {lba}"
+            );
+        }
+    }
+    assert!(sys.read(rotten).is_err());
+}
+
 for_both_engines!(
     crash_mid_gc_never_reclaims_a_referenced_chunk,
     acked_deletes_survive_recovery,
+    compaction_under_in_flight_corruption_moves_only_verified_chunks,
+    compaction_keeps_a_container_whose_stored_bytes_rot,
 );
 
 #[test]

@@ -1,7 +1,8 @@
 //! The modelled totals a host-side speed-up must not move, pinned to the
 //! values the engine produced before its bookkeeping was cut (PR 25):
 //! the ledger's CPU cycles and memory bytes, the stored bytes, the HW
-//! tree's cycles and crashes, and what GC reclaims. A change to how the
+//! tree's cycles and crashes, what GC reclaims and moves, and the
+//! compression counts its moves add. A change to how the
 //! host keeps its records that shifts any of these has changed what the
 //! reproduction reports, not just how fast it runs.
 
@@ -80,6 +81,19 @@ fn churn_then_gc_modelled_totals_are_pinned() {
             ("hwtree.cycles.count", 4_145),
             ("hwtree.crashes.count", 0),
             ("gc.reclaimed_bytes", 328_640),
+        ],
+    );
+    // Compaction moves survivors as they are stored, yet the modelled
+    // Compression Engine still handles each one: its counts include
+    // every survivor, and the moved bytes are what compressing it again
+    // would store.
+    assert_pinned(
+        &sys.metrics(),
+        &[
+            ("compress.lzss.chunks", 200),
+            ("compress.raw_fallback.chunks", 0),
+            ("gc.moved_chunks.count", 40),
+            ("gc.copied_bytes", 82_000),
         ],
     );
 }
