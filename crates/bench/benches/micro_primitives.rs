@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks for the substrate primitives: SHA-256,
-//! the LZ codec, fingerprint bucketing, the software B+ tree, the HW-tree
-//! model, and Hash-PBN bucket scans.
+//! the LZ codec, the NIC write buffer, fingerprint bucketing, the
+//! software B+ tree, the HW-tree model, and Hash-PBN bucket scans.
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fidr::cache::{BPlusTree, HwTree, HwTreeConfig, PipelinedTree};
-use fidr::chunk::Pbn;
+use fidr::chunk::{Lba, Pbn};
 use fidr::compress::{compress, decompress, ContentGenerator};
+use fidr::core::FidrConfig;
 use fidr::hash::{supported_kernels, Fingerprint, Sha256};
+use fidr::nic::FidrNic;
 use fidr::tables::Bucket;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -90,6 +93,56 @@ fn bench_lzss(c: &mut Criterion) {
     let packed = compress(&ContentGenerator::new(0.5).chunk(2, 4096));
     g.bench_function("decompress_4k_r05", |b| {
         b.iter(|| decompress(black_box(&packed), 4096).unwrap())
+    });
+    g.finish();
+}
+
+/// The NIC write path in two halves over 64 distinct 4-KiB chunks, one
+/// `hash_batch` (the `nic.buffer_batch` kernel of `benchmark/`, split):
+/// `accept_64` buffers them, hashing each lane group as it fills, and
+/// `take_64_after_accept` takes the batch and completes every chunk. The
+/// hash moved from the second row to the first; their sum did not move.
+fn bench_nic(c: &mut Criterion) {
+    const BATCH: usize = 64;
+    let payloads: Vec<Bytes> = (0..BATCH as u64)
+        .map(|i| Bytes::from(ContentGenerator::new(0.5).chunk(i, 4096)))
+        .collect();
+    let mut nic = FidrNic::new(FidrConfig::default().nic_buffer_bytes);
+    let accept = |nic: &mut FidrNic| {
+        for (i, data) in payloads.iter().enumerate() {
+            nic.accept_write(Lba(i as u64), data.clone());
+        }
+    };
+    let take = |nic: &mut FidrNic| {
+        for chunk in black_box(nic.take_hash_batch(BATCH)) {
+            nic.complete(chunk.lba);
+        }
+    };
+    let mut g = c.benchmark_group("nic");
+    g.throughput(Throughput::Bytes(BATCH as u64 * 4096));
+    g.bench_function("accept_64", |b| {
+        b.iter_custom(|iters| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..iters {
+                let start = Instant::now();
+                accept(&mut nic);
+                spent += start.elapsed();
+                take(&mut nic);
+            }
+            spent
+        })
+    });
+    g.bench_function("take_64_after_accept", |b| {
+        b.iter_custom(|iters| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..iters {
+                accept(&mut nic);
+                let start = Instant::now();
+                take(&mut nic);
+                spent += start.elapsed();
+            }
+            spent
+        })
     });
     g.finish();
 }
@@ -203,6 +256,7 @@ criterion_group!(
     benches,
     bench_sha256,
     bench_lzss,
+    bench_nic,
     bench_fingerprint,
     bench_btree,
     bench_pipelined_tree,

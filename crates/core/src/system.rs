@@ -779,8 +779,9 @@ impl FidrSystem {
         } else {
             1
         };
-        // Step 2: in-NIC hashing (no CPU, no host memory); the modelled
-        // hash time below is keyed to `hash_engines`.
+        // Step 2: in-NIC hashing (no CPU, no host memory). The NIC hashed
+        // most of the batch as it arrived, sixteen chunks at a time; the
+        // modelled hash time below stays here, keyed to `hash_engines`.
         let batch = self.nic.take_hash_batch(self.cfg.hash_batch);
         if batch.is_empty() {
             return Ok(());

@@ -50,7 +50,7 @@ use crate::kernel::Kernel;
 use crate::sha256::{digest_bytes, padded_tail, Sha256, BLOCK, H0};
 
 /// Messages one kernel call interleaves (AVX-512: sixteen 32-bit lanes).
-const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// Fewest messages worth a sixteen-lane group. A group costs the same
 /// with any number of lanes in use, about 16 × 1.3 µs for 4-KiB chunks
@@ -72,24 +72,22 @@ impl Avx512 {
         .then_some(Avx512(()))
     }
 
-    /// Digests of a batch of messages, in order. `message` digests what
+    /// Writes the digest of `msgs[i]` to `out[i]`. `message` digests what
     /// the lanes leave over: short last groups and ragged lanes.
-    pub(crate) fn digest_batch(self, msgs: &[&[u8]], message: Kernel) -> Vec<[u8; 32]> {
-        let mut out = Vec::with_capacity(msgs.len());
-        for group in msgs.chunks(LANES) {
+    pub(crate) fn digest_batch(self, msgs: &[&[u8]], message: Kernel, out: &mut [[u8; 32]]) {
+        for (group, out) in msgs.chunks(LANES).zip(out.chunks_mut(LANES)) {
             if group.len() < MIN_GROUP {
-                out.extend(message.digest_batch(group));
+                message.digest_batch_into(group, out);
             } else {
-                self.digest_group(group, message, &mut out);
+                self.digest_group(group, message, out);
             }
         }
-        out
     }
 
-    /// Appends the digests of one group of [`MIN_GROUP`] to [`LANES`]
-    /// messages to `out`.
+    /// Writes the digests of one group of [`MIN_GROUP`] to [`LANES`]
+    /// messages to `out`, one per message.
     #[allow(unsafe_code)]
-    fn digest_group(self, group: &[&[u8]], message: Kernel, out: &mut Vec<[u8; 32]>) {
+    fn digest_group(self, group: &[&[u8]], message: Kernel, out: &mut [[u8; 32]]) {
         let lanes: [&[u8]; LANES] = std::array::from_fn(|l| group[l % group.len()]);
         let whole = lanes.iter().map(|m| m.len() / BLOCK).min().unwrap_or(0);
         // Whole blocks, and blocks once padded (the marker and the 8-byte
@@ -112,14 +110,15 @@ impl Avx512 {
             unsafe { x16::compress16(&mut state, &[data]) };
         }
         let lane_state = |l: usize| -> [u32; 8] { std::array::from_fn(|j| state[j][l]) };
-        out.extend(group.iter().enumerate().map(|(l, msg)| {
-            if uniform {
-                return digest_bytes(&lane_state(l));
-            }
-            let mut rest = Sha256::resume(message, lane_state(l), (whole * BLOCK) as u64);
-            rest.update(&msg[whole * BLOCK..]);
-            rest.finalize()
-        }));
+        for (l, (msg, digest)) in group.iter().zip(out).enumerate() {
+            *digest = if uniform {
+                digest_bytes(&lane_state(l))
+            } else {
+                let mut rest = Sha256::resume(message, lane_state(l), (whole * BLOCK) as u64);
+                rest.update(&msg[whole * BLOCK..]);
+                rest.finalize()
+            };
+        }
     }
 }
 

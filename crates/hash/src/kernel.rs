@@ -132,17 +132,48 @@ impl Kernel {
 
     /// Digests of a batch of messages, in order.
     pub(crate) fn digest_batch(self, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+        let mut out = vec![[0; 32]; msgs.len()];
+        self.digest_batch_into(msgs, &mut out);
+        out
+    }
+
+    /// Writes the digest of `msgs[i]` to `out[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msgs` and `out` differ in length.
+    pub(crate) fn digest_batch_into(self, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
+        assert_eq!(msgs.len(), out.len(), "one digest per message");
         match self {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512x16(avx512) => avx512.digest_batch(msgs, Kernel::message()),
+            Kernel::Avx512x16(avx512) => avx512.digest_batch(msgs, Kernel::message(), out),
             #[cfg(target_arch = "x86_64")]
-            Kernel::ShaNi(sha_ni) => sha_ni.digest_batch(msgs),
+            Kernel::ShaNi(sha_ni) => sha_ni.digest_batch(msgs, out),
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2x8(avx2) => avx2.digest_batch(msgs),
-            Kernel::Scalar => msgs.iter().map(|msg| self.digest(msg)).collect(),
+            Kernel::Avx2x8(avx2) => avx2.digest_batch(msgs, out),
+            Kernel::Scalar => {
+                for (msg, digest) in msgs.iter().zip(out) {
+                    *digest = self.digest(msg);
+                }
+            }
         }
     }
 }
+
+/// Messages per lane group: the batch size at which every batch kernel
+/// runs at its full per-message rate. It is the AVX-512 kernel's lane
+/// count and a multiple of every other kernel's group (SHA-NI's two
+/// streams, AVX2's eight lanes), so a caller that hashes in groups of
+/// this size, as the NIC does while chunks arrive, pays per message what
+/// one large batch would.
+pub const LANE_GROUP: usize = 16;
+
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(
+    LANE_GROUP == crate::avx512::LANES
+        && LANE_GROUP.is_multiple_of(crate::shani::STREAMS)
+        && LANE_GROUP.is_multiple_of(crate::lanes::LANES)
+);
 
 /// Name of the SHA-256 kernel this process hashes single messages with:
 /// `"sha-ni"` or `"scalar"`. It is a property of the host CPU, so it
@@ -209,6 +240,29 @@ pub fn supported_kernels() -> Vec<(&'static str, KernelDigestBatch)> {
 /// ```
 pub fn digest_batch(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
     Kernel::batch().digest_batch(msgs)
+}
+
+/// [`digest_batch`] into the caller's buffer: writes the digest of
+/// `msgs[i]` to `out[i]` and allocates nothing, so a caller can hash
+/// from fixed arrays on a hot path.
+///
+/// # Panics
+///
+/// Panics if `msgs` and `out` differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use fidr_hash::{digest_batch_into, Sha256, LANE_GROUP};
+///
+/// let msgs: Vec<Vec<u8>> = (0..LANE_GROUP as u8).map(|i| vec![i; 4096]).collect();
+/// let refs: [&[u8]; LANE_GROUP] = std::array::from_fn(|i| msgs[i].as_slice());
+/// let mut out = [[0u8; 32]; LANE_GROUP];
+/// digest_batch_into(&refs, &mut out);
+/// assert_eq!(out[5], Sha256::digest(&msgs[5]));
+/// ```
+pub fn digest_batch_into(msgs: &[&[u8]], out: &mut [[u8; 32]]) {
+    Kernel::batch().digest_batch_into(msgs, out)
 }
 
 /// Every test here pins a kernel: with a dispatcher in front, comparing

@@ -51,7 +51,7 @@ use crate::kernel::Kernel;
 use crate::sha256::{compress_scalar, digest_bytes, padded_tail, BLOCK, H0};
 
 /// Messages one kernel call interleaves (AVX2: eight 32-bit lanes).
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Fewest messages worth an eight-lane compression.
 const MIN_GROUP: usize = 3;
@@ -66,17 +66,15 @@ impl Avx2 {
         std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
     }
 
-    /// Digests of a batch of messages, in order.
-    pub(crate) fn digest_batch(self, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-        let mut out = Vec::with_capacity(msgs.len());
-        for group in msgs.chunks(LANES) {
+    /// Writes the digest of `msgs[i]` to `out[i]`.
+    pub(crate) fn digest_batch(self, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
+        for (group, out) in msgs.chunks(LANES).zip(out.chunks_mut(LANES)) {
             if group.len() < MIN_GROUP {
-                out.extend(group.iter().map(|msg| Kernel::Scalar.digest(msg)));
+                Kernel::Scalar.digest_batch_into(group, out);
             } else {
-                out.extend_from_slice(&self.digest_group(group)[..group.len()]);
+                out.copy_from_slice(&self.digest_group(group)[..group.len()]);
             }
         }
-        out
     }
 
     /// Digests one group of [`MIN_GROUP`] to [`LANES`] messages (lanes

@@ -68,7 +68,7 @@ mod shani;
 
 pub use fingerprint::{Fingerprint, FINGERPRINT_LEN};
 pub use fnv::{fnv1a, fnv1a_u64, splitmix64};
-pub use kernel::{batch_kernel_name, digest_batch, kernel_name};
+pub use kernel::{batch_kernel_name, digest_batch, digest_batch_into, kernel_name, LANE_GROUP};
 #[doc(hidden)]
 pub use kernel::{supported_kernels, KernelDigestBatch};
 pub use sha256::Sha256;

@@ -35,6 +35,9 @@ use std::arch::x86_64::{
     _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
 };
 
+/// Streams a batch interleaves.
+pub(crate) const STREAMS: usize = 2;
+
 /// Proof that the host CPU runs every instruction of the SHA-NI kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShaNi(());
@@ -59,14 +62,13 @@ impl ShaNi {
         self.compress_streams(std::array::from_mut(state), [blocks]);
     }
 
-    /// Digests of a batch of messages, in order. Messages go through the
-    /// kernel two at a time: the blocks both have are interleaved, then
-    /// each message finishes as a single stream.
-    pub(crate) fn digest_batch(self, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+    /// Writes the digest of `msgs[i]` to `out[i]`. Messages go through
+    /// the kernel [`STREAMS`] at a time: the blocks both have are
+    /// interleaved, then each message finishes as a single stream.
+    pub(crate) fn digest_batch(self, msgs: &[&[u8]], out: &mut [[u8; 32]]) {
         let kernel = Kernel::ShaNi(self);
-        let mut out = Vec::with_capacity(msgs.len());
-        for pair in msgs.chunks(2) {
-            let mut states = [H0; 2];
+        for (pair, out) in msgs.chunks(STREAMS).zip(out.chunks_mut(STREAMS)) {
+            let mut states = [H0; STREAMS];
             let shared = match pair {
                 [a, b] => {
                     let shared = a.len().min(b.len()) / BLOCK * BLOCK;
@@ -75,13 +77,12 @@ impl ShaNi {
                 }
                 _ => 0,
             };
-            out.extend(pair.iter().zip(states).map(|(msg, state)| {
+            for ((msg, state), digest) in pair.iter().zip(states).zip(out) {
                 let mut rest = Sha256::resume(kernel, state, shared as u64);
                 rest.update(&msg[shared..]);
-                rest.finalize()
-            }));
+                *digest = rest.finalize();
+            }
         }
-        out
     }
 
     /// Folds `blocks[s]` into `states[s]` for `N` independent streams of

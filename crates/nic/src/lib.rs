@@ -1,7 +1,8 @@
 //! # fidr-nic
 //!
 //! The FIDR NIC model (paper §5.4, §6.2): battery-backed in-NIC write
-//! buffering with immediate acknowledgment, SHA-256 hash offload, the
+//! buffering with immediate acknowledgment, SHA-256 hash offload (chunks
+//! hashed sixteen at a time as they arrive), the
 //! compression scheduler that forwards only unique chunks, the read-path
 //! LBA-lookup module, and the simplified storage wire [`protocol`].
 //!

@@ -2,9 +2,10 @@
 //! values the engine produced before its bookkeeping was cut (PR 25):
 //! the ledger's CPU cycles and memory bytes, the stored bytes, the HW
 //! tree's cycles and crashes, what GC reclaims and moves, and the
-//! compression counts its moves add. A change to how the
-//! host keeps its records that shifts any of these has changed what the
-//! reproduction reports, not just how fast it runs.
+//! compression counts its moves add, and the NIC's batch and buffer
+//! counts. A change to how the host keeps its records that shifts any of
+//! these has changed what the reproduction reports, not just how fast it
+//! runs.
 
 use bytes::Bytes;
 use fidr::chunk::Lba;
@@ -18,6 +19,30 @@ fn assert_pinned(metrics: &MetricsSnapshot, pins: &[(&str, u64)]) {
     for &(name, want) in pins {
         assert_eq!(metrics.counter(name), Some(want), "{name}");
     }
+}
+
+/// The NIC's deterministic exports: chunks handed to the host, the
+/// number and total size of batch takes, the count of timed writes and
+/// peak buffer residency. Where the NIC hashes a chunk must not move any
+/// of them. A wall-clock histogram's sum is not deterministic, so only
+/// its count is pinned.
+fn assert_nic_pinned(metrics: &MetricsSnapshot, chunks: u64, batches: u64, writes: u64, peak: u64) {
+    assert_pinned(
+        metrics,
+        &[
+            ("hash.chunks_hashed.chunks", chunks),
+            ("nic.peak_resident.bytes", peak),
+        ],
+    );
+    let histogram = |name| metrics.histogram(name).unwrap_or_else(|| panic!("{name}"));
+    let sizes = histogram("hash.batch.chunks");
+    assert_eq!(
+        (sizes.count, sizes.sum),
+        (batches, chunks),
+        "hash.batch.chunks"
+    );
+    assert_eq!(histogram("hash.batch.ns").count, batches, "hash.batch.ns");
+    assert_eq!(histogram("nic.ingest.ns").count, writes, "nic.ingest.ns");
 }
 
 /// `fidr run --workload write-h --variant full --ops 2000 --cache-shards 4`.
@@ -38,6 +63,7 @@ fn write_h_modelled_totals_are_pinned() {
             ("hwtree.crashes.count", 0),
         ],
     );
+    assert_nic_pinned(&report.metrics, 2000, 32, 2000, 262_144);
 }
 
 /// `fidr gc --tenants 4 --blocks 64 --rounds 3 --delete-pct 40`: churn
@@ -96,4 +122,7 @@ fn churn_then_gc_modelled_totals_are_pinned() {
             ("gc.copied_bytes", 82_000),
         ],
     );
+    // Full batches plus the partial ones that deletes of buffered LBAs
+    // and the flush drain.
+    assert_nic_pinned(&sys.metrics(), 735, 12, 735, 262_144);
 }
