@@ -24,7 +24,7 @@ use fidr_cache::{
 use fidr_chunk::{Lba, Pbn};
 use fidr_compress::CompressedChunk;
 use fidr_faults::{FaultInjector, FaultPlan, RetryPolicy};
-use fidr_hash::Fingerprint;
+use fidr_hash::{Fingerprint, LANE_GROUP};
 use fidr_hwsim::{ops, CostParams, CpuTask, Ledger, MemPath, PcieLink};
 use fidr_metrics::MetricsSnapshot;
 use fidr_nic::{FidrNic, HashedChunk, NicStats};
@@ -202,6 +202,22 @@ impl TieredState {
     }
 }
 
+/// A NIC batch taken for the host whose entries are not all committed
+/// yet. Each write commits the next [`LANE_GROUP`] entries and every
+/// other op commits the rest first, so without errors it lives only
+/// between consecutive writes; a failed lookup or commit keeps it open
+/// until one succeeds.
+#[derive(Debug)]
+struct OpenBatch {
+    chunks: Vec<HashedChunk>,
+    temps: Option<Vec<Temperature>>,
+    /// Each chunk's dedup hit; `None` until the lookups succeed.
+    resolved: Option<Vec<Option<Pbn>>>,
+    precompressed: Vec<Option<(CompressedChunk, Duration)>>,
+    /// The first entry not yet committed.
+    next: usize,
+}
+
 /// The FIDR data-reduction server.
 ///
 /// # Examples
@@ -242,6 +258,8 @@ pub struct FidrSystem {
     pool: Option<WorkerPool>,
     /// Hybrid prioritized dedup state (None = flat, always-inline cache).
     tiered: Option<TieredState>,
+    /// The batch the last batch-filling write opened, until committed.
+    open: Option<OpenBatch>,
 }
 
 /// Ledger positions captured before a cache access, used to split the
@@ -302,6 +320,7 @@ impl FidrSystem {
             nic_drain_rounds: 0,
             pool,
             tiered: cfg.tiered.as_ref().map(TieredState::new),
+            open: None,
             cfg,
         }
     }
@@ -413,13 +432,17 @@ impl FidrSystem {
     }
 
     /// Accepts one 4-KB client write (Figure 6a step 1). The NIC buffers
-    /// and acks; the backend batch is processed once `hash_batch` chunks
-    /// accumulate.
+    /// and acks. The write that brings the NIC to `hash_batch` chunks
+    /// runs the batch's dedup lookups and commits its first
+    /// [`LANE_GROUP`] entries; each following write commits the next
+    /// group, and every other op [`settle`](Self::settle)s first.
     ///
     /// # Errors
     ///
     /// [`FidrError::BadChunkSize`], [`FidrError::NicBufferFull`], or a
-    /// propagated backend error once a batch processes.
+    /// propagated backend error from the batch work this write carries.
+    /// The write itself is buffered by then; the failed batch work stays
+    /// open and the next op resumes it.
     pub fn write(&mut self, lba: Lba, data: Bytes) -> Result<(), FidrError> {
         let op = self.store.begin_op(Op::Write(lba));
         let out = self.write_inner(lba, data);
@@ -457,6 +480,8 @@ impl FidrSystem {
         let nic_span = self.store.tracer.begin("nic");
         let mut pressure_waits = 0u32;
         while !self.nic.has_room(len) {
+            // Drains start from the state a whole-batch commit leaves.
+            self.settle()?;
             let before = self.nic.pending_len();
             if before > 0 {
                 // Drain the backlog, then retry the admission check —
@@ -499,8 +524,11 @@ impl FidrSystem {
         }
         self.store.tracer.end(nic_span);
 
-        if self.nic.pending_len() >= self.cfg.hash_batch {
-            self.process_batch()?;
+        if self.open.is_some() {
+            self.commit_open(LANE_GROUP)?;
+        } else if self.nic.pending_len() >= self.cfg.hash_batch {
+            self.open_batch()?;
+            self.commit_open(LANE_GROUP)?;
         }
         Ok(())
     }
@@ -548,7 +576,8 @@ impl FidrSystem {
         // writes need no special handling — unmapping drops the
         // provisional PBN's refcount to zero, which the scrubber's stale
         // filter already discards.)
-        if self.nic.lookup_read(lba).is_some() {
+        self.settle()?;
+        if self.nic.holds(lba) {
             while self.nic.pending_len() > 0 {
                 self.process_batch()?;
             }
@@ -584,6 +613,10 @@ impl FidrSystem {
     }
 
     fn read_inner(&mut self, lba: Lba, op: SpanToken) -> Result<Vec<u8>, FidrError> {
+        // The NIC serves every chunk the open batch has not committed, so
+        // a read is correct without the commit, and a failed one stays
+        // open for the next write or flush to report.
+        let _ = self.settle();
         let traced = self.store.tracer.is_enabled();
         let cost = self.cfg.cost;
         self.store.ledger.add_client_read_bytes(BUCKET_BYTES as u64);
@@ -714,6 +747,7 @@ impl FidrSystem {
     }
 
     fn flush_inner(&mut self) -> Result<(), FidrError> {
+        self.settle()?;
         while self.nic.pending_len() > 0 {
             self.process_batch()?;
         }
@@ -721,7 +755,7 @@ impl FidrSystem {
         // either gains its table entry or is remapped onto its canonical
         // copy, so a flushed system has no pending dedup debt.
         while self.deferred_pending() > 0 {
-            self.scrub_deferred(usize::MAX)?;
+            self.scrub_deferred_now(usize::MAX)?;
         }
         self.store.seal_open()?;
         Ok(self.cache.flush_all(&mut self.table_ssd)?)
@@ -756,41 +790,66 @@ impl FidrSystem {
         Ok(())
     }
 
-    /// Processes one NIC hash batch through steps 2–10 of Figure 6a.
+    /// Processes one NIC hash batch whole, through steps 2–10 of Figure
+    /// 6a. Called only with no batch open: the flush and delete drains
+    /// and the NIC-pressure drain run it.
     ///
-    /// With [`FidrConfig::workers`] > 1 (and an inert fault plan — armed
-    /// faults key off global device-call order, so they force the serial
-    /// path) the batch pipeline fans out over the persistent
-    /// [`WorkerPool`] built once at construction: dedup lookups run
-    /// shard-owned via [`CacheBackend::lookup_batch_parallel`] on the
-    /// pool, and lookup-flagged uniques precompress speculatively on the
-    /// pool. Hashing is not part of the fan-out: the NIC digests every
-    /// batch through `fidr_hash::digest_batch` on the fastest SHA-256
-    /// kernel the host has, at any worker count, and
-    /// [`FidrConfig::hash_engines`] only scales the *modelled* hash time.
-    /// All ledger charges, spans and commits replay on this thread in
-    /// batch order, so every modelled export is byte-identical for any
-    /// worker count.
+    /// A write runs the same work in two halves. The write that fills the
+    /// batch runs the first, [`open_batch`](Self::open_batch): the take,
+    /// the per-batch charges, every chunk's dedup lookup and the
+    /// uniqueness flags. The lookups stay whole, so the table cache sees
+    /// the same accesses in the same order at any split. That write then
+    /// commits the first [`LANE_GROUP`] entries, and each following write
+    /// commits the next group after its own admission
+    /// ([`commit_open`](Self::commit_open)), so no single ack carries the
+    /// whole batch. Every other op [`settle`](Self::settle)s first, so it
+    /// sees the state a whole-batch commit would have left.
+    ///
+    /// Hashing is not part of either half: the NIC hashed each chunk as
+    /// it arrived, sixteen at a time on the fastest batch kernel the host
+    /// has, and [`FidrConfig::hash_engines`] only scales the *modelled*
+    /// hash time. With [`FidrConfig::workers`] > 1 (and an inert fault
+    /// plan — armed faults key off global device-call order, so they
+    /// force the serial path) the dedup lookups run shard-owned on the
+    /// persistent [`WorkerPool`] via
+    /// [`CacheBackend::lookup_batch_parallel`], and lookup-flagged uniques
+    /// precompress speculatively on the pool. All ledger charges, spans
+    /// and commits replay on this thread in batch order, so every
+    /// modelled export is byte-identical for any worker count.
     fn process_batch(&mut self) -> Result<(), FidrError> {
-        let cost = self.cfg.cost;
-        let traced = self.store.tracer.is_enabled();
-        let workers = if self.cfg.faults.is_inert() {
+        self.open_batch()?;
+        self.settle()
+    }
+
+    /// Worker count the batch pipeline and the scrubber fan out to: one
+    /// under an armed fault plan.
+    fn workers(&self) -> usize {
+        if self.cfg.faults.is_inert() {
             self.cfg.workers.max(1)
         } else {
             1
-        };
+        }
+    }
+
+    /// The first half of a batch: takes up to `hash_batch` chunks from
+    /// the NIC, charges the per-batch work and resolves every chunk's
+    /// dedup status ([`resolve`](Self::resolve)); the result is the open
+    /// batch. A failed lookup leaves it open with nothing resolved, and
+    /// its next commit retries the lookups.
+    fn open_batch(&mut self) -> Result<(), FidrError> {
+        debug_assert!(self.open.is_none(), "one batch open at a time");
+        let cost = self.cfg.cost;
         // Step 2: in-NIC hashing (no CPU, no host memory). The NIC hashed
         // most of the batch as it arrived, sixteen chunks at a time; the
         // modelled hash time below stays here, keyed to `hash_engines`.
-        let batch = self.nic.take_hash_batch(self.cfg.hash_batch);
-        if batch.is_empty() {
+        let chunks = self.nic.take_hash_batch(self.cfg.hash_batch);
+        if chunks.is_empty() {
             return Ok(());
         }
-
         let hash_span = self.store.tracer.begin("hash");
-        if traced {
-            let hashed: u64 = batch.iter().map(|c| c.data.len() as u64).sum();
-            self.store.tracer.attr(hash_span, "chunks", batch.len());
+        if self.store.tracer.is_enabled() {
+            let hashed: u64 = chunks.iter().map(|c| c.data.len() as u64).sum();
+            self.store.tracer.attr(hash_span, "chunks", chunks.len());
             self.store
                 .tracer
                 .advance(self.store.time.hash_ns(hashed, self.cfg.hash_engines));
@@ -799,21 +858,11 @@ impl FidrSystem {
         let host_mark = self.store.host_mark();
 
         // Hashes + LBAs to the device manager: 40 B per chunk.
-        let meta_bytes = batch.len() as u64 * 40;
+        let meta_bytes = chunks.len() as u64 * 40;
         let ledger = &mut self.store.ledger;
         ops::dma_to_host(ledger, PcieLink::NicHost, MemPath::NicBuffering, meta_bytes);
         ledger.charge_cpu(CpuTask::NicDriver, cost.nic_driver_cycles_per_chunk);
-
-        // Steps 3–5: the device manager computes every chunk's bucket
-        // location, ships the whole batch to the cache engine (Figure 8's
-        // batch interface), and scans the returned lines for duplicate
-        // status — the host-software cost FIDR keeps (§5.2.4).
-        let num_buckets = self.table_ssd.num_buckets();
-        let requests: Vec<(u64, fidr_hash::Fingerprint)> = batch
-            .iter()
-            .map(|c| (c.fingerprint.bucket_index(num_buckets), c.fingerprint))
-            .collect();
-        for _ in &batch {
+        for _ in &chunks {
             ledger.charge_cpu(CpuTask::DeviceManager, cost.device_manager_cycles_per_chunk);
             ledger.charge_cpu(CpuTask::Other, cost.misc_cycles_per_chunk);
         }
@@ -825,7 +874,7 @@ impl FidrSystem {
         // provisional uniques and the scrubber dedups them later
         // through the slow tier.
         let temps: Option<Vec<Temperature>> = self.tiered.as_mut().map(|ts| {
-            batch
+            chunks
                 .iter()
                 .map(|c| {
                     ts.policy
@@ -833,16 +882,45 @@ impl FidrSystem {
                 })
                 .collect()
         });
-        let (lookups, lookup_idx): (Vec<(u64, fidr_hash::Fingerprint)>, Option<Vec<usize>>) =
-            match &temps {
-                Some(t) => {
-                    let idx: Vec<usize> = (0..requests.len())
-                        .filter(|&i| t[i] == Temperature::Hot)
-                        .collect();
-                    (idx.iter().map(|&i| requests[i]).collect(), Some(idx))
-                }
-                None => (requests, None),
-            };
+        let mut open = OpenBatch {
+            chunks,
+            temps,
+            resolved: None,
+            precompressed: Vec::new(),
+            next: 0,
+        };
+        let out = self.resolve(&mut open, host_mark);
+        self.open = Some(open);
+        out
+    }
+
+    /// Steps 3–7 for a whole batch, all or nothing: the device manager
+    /// computes every chunk's bucket location, ships the batch to the
+    /// cache engine (Figure 8's batch interface) and scans the returned
+    /// lines for duplicate status — the host-software cost FIDR keeps
+    /// (§5.2.4); the flags go back to the NIC and the unique chunks on to
+    /// the Compression Engine. `host_mark` is the host time already
+    /// charged to the tracer.
+    fn resolve(&mut self, open: &mut OpenBatch, host_mark: u64) -> Result<(), FidrError> {
+        let cost = self.cfg.cost;
+        let traced = self.store.tracer.is_enabled();
+        let workers = self.workers();
+        let num_buckets = self.table_ssd.num_buckets();
+        let requests: Vec<(u64, Fingerprint)> = open
+            .chunks
+            .iter()
+            .map(|c| (c.fingerprint.bucket_index(num_buckets), c.fingerprint))
+            .collect();
+        let (lookups, lookup_idx): (Vec<(u64, Fingerprint)>, Option<Vec<usize>>) = match &open.temps
+        {
+            Some(t) => {
+                let idx: Vec<usize> = (0..requests.len())
+                    .filter(|&i| t[i] == Temperature::Hot)
+                    .collect();
+                (idx.iter().map(|&i| requests[i]).collect(), Some(idx))
+            }
+            None => (requests, None),
+        };
         self.check_engine(lookups.len() as u64)?;
         self.store.advance_host(host_mark);
         let cache_span = self.store.tracer.begin("cache");
@@ -860,7 +938,7 @@ impl FidrSystem {
             self.cache
                 .lookup_batch(&lookups, &mut self.table_ssd, &mut self.store.ledger, &cost)
         }?;
-        let mut resolved: Vec<Option<Pbn>> = vec![None; batch.len()];
+        let mut resolved: Vec<Option<Pbn>> = vec![None; open.chunks.len()];
         for (j, (pbn, _access)) in results.into_iter().enumerate() {
             let i = lookup_idx.as_ref().map_or(j, |idx| idx[j]);
             resolved[i] = pbn;
@@ -871,7 +949,7 @@ impl FidrSystem {
             self.store.tracer.attr(cache_span, "dup_hits", dup_hits);
             self.store
                 .tracer
-                .attr(cache_span, "uniques", batch.len() - dup_hits);
+                .attr(cache_span, "uniques", open.chunks.len() - dup_hits);
         }
         self.finish_cache_span(cache_span, cache_marks);
         let host_mark = self.store.host_mark();
@@ -881,19 +959,17 @@ impl FidrSystem {
             &mut self.store.ledger,
             PcieLink::NicHost,
             MemPath::NicBuffering,
-            batch.len() as u64,
+            open.chunks.len() as u64,
         );
 
         // Step 7: the compression scheduler ships unique chunks NIC →
         // Compression Engine peer-to-peer.
-        for (i, chunk) in batch.iter().enumerate() {
-            if unique_flags[i] {
-                ops::p2p(
-                    &mut self.store.ledger,
-                    PcieLink::NicCompressionP2p,
-                    chunk.data.len() as u64,
-                );
-            }
+        for (chunk, _) in open.chunks.iter().zip(&unique_flags).filter(|(_, &u)| u) {
+            ops::p2p(
+                &mut self.store.ledger,
+                PcieLink::NicCompressionP2p,
+                chunk.data.len() as u64,
+            );
         }
 
         self.store.advance_host(host_mark);
@@ -904,40 +980,27 @@ impl FidrSystem {
         // `commit_unique_with` and its speculative output is discarded
         // unrecorded — exactly the chunks the serial path never
         // compresses.
-        let mut precompressed =
-            precompress_uniques(&batch, &unique_flags, workers, self.pool.as_ref());
+        open.precompressed =
+            precompress_uniques(&open.chunks, &unique_flags, workers, self.pool.as_ref());
+        open.resolved = Some(resolved);
+        Ok(())
+    }
 
-        // Commit each chunk in batch order: duplicates update the LBA
-        // map; uniques compress, stage in engine DRAM, and gain table
-        // entries.
-        for (i, (chunk, pbn)) in batch.into_iter().zip(resolved).enumerate() {
-            let cold = temps.as_ref().is_some_and(|t| t[i] == Temperature::Cold);
-            match pbn {
-                Some(pbn) => {
-                    let span = self.store.tracer.begin("dedup");
-                    if traced {
-                        self.store.tracer.attr(span, "lba", chunk.lba.0);
-                        self.store.tracer.attr(span, "dedup_hit", true);
-                        self.store
-                            .tracer
-                            .advance(self.store.time.cycles_ns(cost.lba_map_cycles));
-                    }
-                    self.store.stats.duplicate_chunks += 1;
-                    self.map_lba(chunk.lba, pbn);
-                    self.store
-                        .ledger
-                        .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
-                    self.nic.complete(chunk.lba);
-                    self.store.tracer.end(span);
-                }
-                None if cold => {
-                    self.commit_deferred(chunk, precompressed[i].take())?;
-                }
-                None => {
-                    self.commit_unique_with(chunk, precompressed[i].take())?;
-                }
-            }
+    /// Commits up to `n` more entries of the open batch, retrying its
+    /// lookups first if an error left them undone. After the last entry
+    /// the batch closes and the opportunistic scrub runs, as at the end
+    /// of a whole batch. An error leaves the batch open at its first
+    /// uncommitted entry, for the next op to resume.
+    fn commit_open(&mut self, n: usize) -> Result<(), FidrError> {
+        let Some(mut open) = self.open.take() else {
+            return Ok(());
+        };
+        let out = self.commit_entries(&mut open, n);
+        if open.next < open.chunks.len() {
+            self.open = Some(open);
+            return out;
         }
+        out?;
         // Opportunistic scrub: once enough cold writes have accumulated,
         // dedup them through the slow tier. Triggered by queue depth, not
         // time, so it fires at the same points for any worker count.
@@ -947,26 +1010,96 @@ impl FidrSystem {
             .is_some_and(|ts| ts.deferred.len() >= ts.scrub_batch)
         {
             let limit = self.tiered.as_ref().map_or(0, |ts| ts.scrub_batch);
-            self.scrub_deferred(limit)?;
+            self.scrub_deferred_now(limit)?;
         }
         Ok(())
     }
 
-    /// Stores one unique chunk: compression in the engine, container
-    /// staging, metadata updates (steps 7–10), optionally consuming a
-    /// result precompressed on the worker pool. If re-validation finds
-    /// the content already stored, `pre` is dropped without recording any
-    /// compression stats — matching the serial path, which would not have
-    /// compressed the chunk at all.
+    /// Commits whatever the open batch has left. Every op but a write
+    /// does this before anything else, so reads, deletes, flushes, GC,
+    /// scrubs and checkpoints see the state a whole-batch commit would
+    /// have left; a metrics scrape mid-stream should call it too.
+    ///
+    /// # Errors
+    ///
+    /// The first commit error; the batch stays open at that entry.
+    pub fn settle(&mut self) -> Result<(), FidrError> {
+        self.commit_open(usize::MAX)
+    }
+
+    /// Commits entries of `open` in batch order, from its cursor, up to
+    /// `n` of them: duplicates update the LBA map; uniques compress, stage
+    /// in engine DRAM, and gain table entries. An entry counts as
+    /// committed once staged: a seal the device refuses reopens the
+    /// container, and the next seal retries it.
+    fn commit_entries(&mut self, open: &mut OpenBatch, n: usize) -> Result<(), FidrError> {
+        if open.resolved.is_none() {
+            let host_mark = self.store.host_mark();
+            self.resolve(open, host_mark)?;
+        }
+        let cost = self.cfg.cost;
+        let traced = self.store.tracer.is_enabled();
+        let resolved = open.resolved.as_ref().expect("lookups resolved above");
+        let end = open.chunks.len().min(open.next.saturating_add(n));
+        while open.next < end {
+            let i = open.next;
+            let chunk = &open.chunks[i];
+            if let Some(pbn) = resolved[i] {
+                let span = self.store.tracer.begin("dedup");
+                if traced {
+                    self.store.tracer.attr(span, "lba", chunk.lba.0);
+                    self.store.tracer.attr(span, "dedup_hit", true);
+                    self.store
+                        .tracer
+                        .advance(self.store.time.cycles_ns(cost.lba_map_cycles));
+                }
+                self.store.stats.duplicate_chunks += 1;
+                self.map_lba(chunk.lba, pbn);
+                self.store
+                    .ledger
+                    .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
+                self.nic.complete(chunk.lba);
+                self.store.tracer.end(span);
+                open.next += 1;
+                continue;
+            }
+            let span = self.store.tracer.begin("commit");
+            self.store.tracer.attr(span, "lba", chunk.lba.0);
+            let pre = open.precompressed[i].take();
+            let staged = if open
+                .temps
+                .as_ref()
+                .is_some_and(|t| t[i] == Temperature::Cold)
+            {
+                self.store.tracer.attr(span, "deferred", true);
+                self.commit_deferred(chunk, pre)?;
+                true
+            } else {
+                self.commit_unique_with(chunk, pre, span)?
+            };
+            open.next += 1;
+            if staged {
+                self.store.seal_if_full()?;
+            }
+            self.store.tracer.end(span);
+        }
+        Ok(())
+    }
+
+    /// Stores one unique chunk under the `commit` span `span`:
+    /// compression in the engine, container staging, metadata updates
+    /// (steps 7–10), optionally consuming a result precompressed on the
+    /// worker pool. Returns whether it staged the chunk. If re-validation
+    /// finds the content already stored, `pre` is dropped without
+    /// recording any compression stats — matching the serial path, which
+    /// would not have compressed the chunk at all.
     fn commit_unique_with(
         &mut self,
-        chunk: HashedChunk,
+        chunk: &HashedChunk,
         pre: Option<(CompressedChunk, Duration)>,
-    ) -> Result<(), FidrError> {
+        span: SpanToken,
+    ) -> Result<bool, FidrError> {
         let cost = self.cfg.cost;
-        let commit_span = self.store.tracer.begin("commit");
-        self.store.tracer.attr(commit_span, "lba", chunk.lba.0);
-
         // Step 10 begins with re-validation: an identical chunk earlier in
         // this batch may have stored the content already (the flags were
         // computed before any commit).
@@ -984,19 +1117,18 @@ impl FidrSystem {
         self.finish_cache_span(cache_span, cache_marks);
         self.store
             .tracer
-            .attr(commit_span, "dedup_hit", existing.is_some());
-        if let Some(pbn) = existing {
-            self.store.stats.duplicate_chunks += 1;
-            self.map_lba(chunk.lba, pbn);
-            self.store
-                .ledger
-                .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
-            self.nic.complete(chunk.lba);
-        } else {
-            self.store_unique(&chunk, pre, Some(access.line))?;
-        }
-        self.store.tracer.end(commit_span);
-        Ok(())
+            .attr(span, "dedup_hit", existing.is_some());
+        let Some(pbn) = existing else {
+            self.store_unique(chunk, pre, Some(access.line))?;
+            return Ok(true);
+        };
+        self.store.stats.duplicate_chunks += 1;
+        self.map_lba(chunk.lba, pbn);
+        self.store
+            .ledger
+            .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
+        self.nic.complete(chunk.lba);
+        Ok(false)
     }
 
     /// Stores one cold-stream chunk as a *provisional* unique: same
@@ -1007,15 +1139,10 @@ impl FidrSystem {
     /// a canonical copy and retires this one.
     fn commit_deferred(
         &mut self,
-        chunk: HashedChunk,
+        chunk: &HashedChunk,
         pre: Option<(CompressedChunk, Duration)>,
     ) -> Result<(), FidrError> {
-        let commit_span = self.store.tracer.begin("commit");
-        self.store.tracer.attr(commit_span, "lba", chunk.lba.0);
-        self.store.tracer.attr(commit_span, "deferred", true);
-        let pbn = self.store_unique(&chunk, pre, None)?;
-        self.store.tracer.end(commit_span);
-
+        let pbn = self.store_unique(chunk, pre, None)?;
         let bucket = chunk.fingerprint.bucket_index(self.table_ssd.num_buckets());
         let ts = self
             .tiered
@@ -1038,7 +1165,8 @@ impl FidrSystem {
     /// engine (output stays in engine DRAM until the container seals),
     /// install its Hash-PBN entry in the cached bucket at `line` (`None`
     /// for a deferred commit, which gains its entry from the scrubber),
-    /// stage it in the open container and map the LBA. Returns the PBN.
+    /// stage it in the open container, map the LBA and release the NIC's
+    /// copy. Returns the PBN. The caller seals, inside its `commit` span.
     fn store_unique(
         &mut self,
         chunk: &HashedChunk,
@@ -1052,6 +1180,10 @@ impl FidrSystem {
         self.store.stats.stored_bytes += compressed.stored_len() as u64;
 
         self.hot_cache.invalidate(chunk.lba);
+        // A full bucket costs only this chunk's dedup opportunity: it is
+        // stored without a table entry, as a scrub into a full bucket
+        // leaves a deferred chunk.
+        let line = line.filter(|&line| !self.cache.bucket(line).is_full());
         let entry = line.map(|line| self.cache.bucket_mut(line));
         let pbn = self
             .store
@@ -1068,7 +1200,6 @@ impl FidrSystem {
             .ledger
             .charge_cpu(CpuTask::LbaMap, self.cfg.cost.lba_map_cycles);
         self.store.advance_host(host_mark);
-        self.store.seal_if_full()?;
 
         // The NIC can release the buffered copy now that the backend has
         // durably staged it.
@@ -1090,8 +1221,15 @@ impl FidrSystem {
     ///
     /// [`FidrError::Io`] when the slow tier fails past the retry budget;
     /// the whole batch is re-queued in order (scrubbing is idempotent,
-    /// so entries that did apply simply re-report as existing).
+    /// so entries that did apply simply re-report as existing). A commit
+    /// error from the open batch, which this settles first.
     pub fn scrub_deferred(&mut self, limit: usize) -> Result<usize, FidrError> {
+        self.settle()?;
+        self.scrub_deferred_now(limit)
+    }
+
+    /// [`scrub_deferred`](Self::scrub_deferred) with no batch open.
+    fn scrub_deferred_now(&mut self, limit: usize) -> Result<usize, FidrError> {
         let Some(mut ts) = self.tiered.take() else {
             return Ok(0);
         };
@@ -1159,11 +1297,7 @@ impl FidrSystem {
             );
         }
         let host_mark = self.store.host_mark();
-        let workers = if self.cfg.faults.is_inert() {
-            self.cfg.workers.max(1)
-        } else {
-            1
-        };
+        let workers = self.workers();
         let outcome = if let (true, Some(pool)) = (workers > 1, self.pool.as_ref()) {
             self.cache.scrub_groups_parallel(
                 &groups,
@@ -1293,8 +1427,12 @@ impl FidrSystem {
     ///
     /// Table-cache IO failures, survivor read failures and failed seals;
     /// an interrupted pass loses no referenced chunk and a later pass
-    /// finishes the work.
+    /// finishes the work. A commit error from the open batch, which this
+    /// settles first, ends the call before the pass starts.
     pub fn collect_garbage(&mut self, live_threshold: f64) -> Result<GcReport, FidrError> {
+        // An uncommitted duplicate names its PBN without holding a
+        // reference yet: commit first, so GC cannot reclaim it.
+        self.settle()?;
         let cost = self.cfg.cost;
         // One engine access per dead chunk, charged up front like a
         // lookup batch's.
@@ -1346,8 +1484,10 @@ impl FidrSystem {
     /// # Errors
     ///
     /// [`FidrError::Corrupt`] for the first PBN whose stored bytes no
-    /// longer match their recorded fingerprint after re-reads.
+    /// longer match their recorded fingerprint after re-reads, or a
+    /// commit error from the open batch, which this settles first.
     pub fn verify_integrity(&mut self) -> Result<u64, FidrError> {
+        self.settle()?;
         self.store.verify_integrity()
     }
 
@@ -1699,6 +1839,203 @@ mod tests {
         // readable, and its chunk is queued for collection.
         assert_eq!(s.read(Lba(4)).unwrap_err(), FidrError::NotMapped(Lba(4)));
         assert_eq!(s.pending_dead_chunks(), 1);
+    }
+
+    #[test]
+    fn full_bucket_stores_without_a_table_entry() {
+        // One Hash-PBN bucket: every fingerprint lands in it, and it fills
+        // at ENTRIES_PER_BUCKET. Later uniques still store and read back;
+        // only their dedup opportunity is lost.
+        let mut s = FidrSystem::new(FidrConfig {
+            table_buckets: 1,
+            ..sys().cfg
+        });
+        let n = fidr_tables::ENTRIES_PER_BUCKET as u64 + 20;
+        for i in 0..n {
+            s.write(Lba(i), chunk(i)).unwrap();
+        }
+        s.write(Lba(n), chunk(0)).unwrap(); // a duplicate with an entry
+        s.flush().unwrap();
+        assert_eq!(s.stats().unique_chunks, n);
+        assert_eq!(s.stats().duplicate_chunks, 1);
+        for i in 0..=n {
+            assert_eq!(s.read(Lba(i)).unwrap(), chunk(i % n).to_vec(), "LBA {i}");
+        }
+    }
+
+    #[test]
+    fn deletes_leave_the_nic_read_counters_alone() {
+        let mut s = sys();
+        s.write(Lba(1), chunk(1)).unwrap();
+        s.flush().unwrap();
+        s.write(Lba(2), chunk(2)).unwrap(); // still buffered in the NIC
+        s.delete(Lba(1)).unwrap();
+        s.delete(Lba(2)).unwrap();
+        let nic = s.nic_stats();
+        assert_eq!((nic.read_buffer_hits, nic.read_buffer_misses), (0, 0));
+    }
+
+    /// A 64-chunk batch, as the default config takes it.
+    fn sys64() -> FidrSystem {
+        FidrSystem::new(FidrConfig {
+            hash_batch: 64,
+            ..sys().cfg
+        })
+    }
+
+    /// Entries the open batch has committed and left, if one is open.
+    fn open_split(s: &FidrSystem) -> Option<(usize, usize)> {
+        s.open.as_ref().map(|b| (b.next, b.chunks.len() - b.next))
+    }
+
+    #[test]
+    fn open_batch_commits_one_lane_group_per_write() {
+        let mut s = sys64();
+        for i in 0..63u64 {
+            s.write(Lba(i), chunk(i)).unwrap();
+        }
+        assert_eq!(open_split(&s), None);
+        s.write(Lba(63), chunk(63)).unwrap();
+        assert_eq!(open_split(&s), Some((16, 48)), "the filling write");
+        assert_eq!(s.stats().unique_chunks, 16);
+        s.write(Lba(64), chunk(64)).unwrap();
+        assert_eq!(open_split(&s), Some((32, 32)));
+        s.write(Lba(65), chunk(65)).unwrap();
+        s.write(Lba(66), chunk(66)).unwrap();
+        assert_eq!(open_split(&s), None, "closed three writes on");
+        assert_eq!(s.stats().unique_chunks, 64);
+        assert_eq!(s.nic.pending_len(), 3);
+    }
+
+    #[test]
+    fn commits_follow_batch_order() {
+        let mut s = sys64();
+        for i in 0..130u64 {
+            s.write(Lba(i), chunk(i)).unwrap();
+            let committed = s.stats().unique_chunks;
+            for lba in 0..committed {
+                let (pbn, _) = s.store.locate(Lba(lba)).unwrap();
+                assert_eq!(pbn, Pbn(lba), "after write {i}");
+            }
+            assert!(s.store.locate(Lba(committed)).is_err(), "after write {i}");
+        }
+    }
+
+    #[test]
+    fn every_other_op_settles_the_open_batch_first() {
+        type Op = fn(&mut FidrSystem);
+        let ops: [(&str, Op); 7] = [
+            ("read", |s| {
+                assert_eq!(s.read(Lba(0)).unwrap(), chunk(0).to_vec())
+            }),
+            ("delete", |s| s.delete(Lba(0)).unwrap()),
+            ("flush", |s| s.flush().unwrap()),
+            ("gc", |s| {
+                s.collect_garbage(0.5).unwrap();
+            }),
+            ("checkpoint", |s| {
+                s.checkpoint().unwrap();
+            }),
+            ("scrub", |s| {
+                s.scrub_deferred(1).unwrap();
+            }),
+            ("verify", |s| {
+                s.verify_integrity().unwrap();
+            }),
+        ];
+        for (name, op) in ops {
+            let mut s = sys64();
+            for i in 0..64u64 {
+                s.write(Lba(i), chunk(i)).unwrap();
+            }
+            assert_eq!(open_split(&s), Some((16, 48)));
+            op(&mut s);
+            assert_eq!(open_split(&s), None, "{name}");
+            assert_eq!(s.stats().unique_chunks, 64, "{name}");
+        }
+    }
+
+    /// One client op of a random history.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Write(u64, u64),
+        Read(u64),
+        Delete(u64),
+        Flush,
+        Gc,
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        // Few LBAs and few contents: overwrites, duplicates and
+        // resurrections of dead chunks all happen often.
+        prop_oneof![
+            12 => (0u64..48, 0u64..96).prop_map(|(lba, tag)| Step::Write(lba, tag)),
+            3 => (0u64..48).prop_map(Step::Read),
+            2 => (0u64..48).prop_map(Step::Delete),
+            1 => Just(Step::Flush),
+            1 => Just(Step::Gc),
+        ]
+    }
+
+    /// Runs `steps` on `s`, settling after every write when `eager` (a
+    /// whole-batch commit per filling write), and checks every read
+    /// against the newest acked content.
+    fn run_history(s: &mut FidrSystem, steps: &[Step], eager: bool) -> String {
+        let mut newest: std::collections::HashMap<u64, u64> = Default::default();
+        for (n, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Write(lba, tag) => {
+                    s.write(Lba(lba), chunk(tag)).unwrap();
+                    newest.insert(lba, tag);
+                    if eager {
+                        s.settle().unwrap();
+                    }
+                }
+                Step::Read(lba) => match newest.get(&lba) {
+                    Some(&tag) => {
+                        assert_eq!(s.read(Lba(lba)).unwrap(), chunk(tag).to_vec(), "step {n}")
+                    }
+                    None => assert_eq!(s.read(Lba(lba)), Err(FidrError::NotMapped(Lba(lba)))),
+                },
+                Step::Delete(lba) => match newest.remove(&lba) {
+                    Some(_) => s.delete(Lba(lba)).unwrap(),
+                    None => assert!(s.delete(Lba(lba)).is_err(), "step {n}"),
+                },
+                Step::Flush => s.flush().unwrap(),
+                Step::Gc => {
+                    s.collect_garbage(0.5).unwrap();
+                }
+            }
+        }
+        s.flush().unwrap();
+        for (&lba, &tag) in &newest {
+            assert_eq!(s.read(Lba(lba)).unwrap(), chunk(tag).to_vec());
+        }
+        s.metrics().to_json()
+    }
+
+    proptest::proptest! {
+        /// Random write / overwrite / read / delete / flush / GC
+        /// histories: every read returns the newest acked content, and
+        /// lane-group commits export exactly what a whole-batch commit
+        /// per filling write exports (`settle` after every write).
+        #[test]
+        fn open_batch_matches_whole_batch_commits(
+            hash_batch in proptest::prop_oneof![
+                proptest::prelude::Just(8usize),
+                proptest::prelude::Just(16),
+                proptest::prelude::Just(17),
+                proptest::prelude::Just(48),
+                proptest::prelude::Just(64),
+            ],
+            steps in proptest::collection::vec(step(), 1..160),
+        ) {
+            let cfg = FidrConfig { hash_batch, ..sys().cfg };
+            let lazy = run_history(&mut FidrSystem::new(cfg.clone()), &steps, false);
+            let eager = run_history(&mut FidrSystem::new(cfg), &steps, true);
+            proptest::prop_assert_eq!(lazy, eager);
+        }
     }
 
     #[test]

@@ -67,9 +67,10 @@ pub struct NicStats {
 /// 4. **Completed.** [`complete`](FidrNic::complete) releases the buffer
 ///    space once the backend has committed the chunk.
 ///
-/// Chunks stay visible to [`lookup_read`](FidrNic::lookup_read) until
-/// completed. An overwrite supersedes the old payload at any stage, and
-/// the old payload's fingerprint goes with it.
+/// Chunks stay visible to [`lookup_read`](FidrNic::lookup_read) and
+/// [`holds`](FidrNic::holds) until completed. An overwrite supersedes
+/// the old payload at any stage, and the old payload's fingerprint goes
+/// with it.
 ///
 /// # Examples
 ///
@@ -328,6 +329,13 @@ impl FidrNic {
         }
     }
 
+    /// Whether `lba` has a payload in the write buffer. Unlike
+    /// [`lookup_read`](FidrNic::lookup_read) it serves no read, so it
+    /// counts nothing.
+    pub fn holds(&self, lba: Lba) -> bool {
+        self.buffer.contains_key(&lba)
+    }
+
     /// Releases a chunk's buffer space after the backend committed it.
     /// A no-op if the LBA was superseded or already completed.
     pub fn complete(&mut self, lba: Lba) {
@@ -410,6 +418,7 @@ mod tests {
     fn read_hits_inflight_writes() {
         let mut nic = FidrNic::new(1 << 20);
         nic.accept_write(Lba(9), chunk(7));
+        assert!(nic.holds(Lba(9)) && !nic.holds(Lba(10)), "counts nothing");
         assert_eq!(nic.lookup_read(Lba(9)), Some(chunk(7)));
         assert_eq!(nic.lookup_read(Lba(10)), None);
         let s = nic.stats();

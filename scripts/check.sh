@@ -47,6 +47,13 @@ PROPTEST_CASES=2048 cargo test --release -q -p fidr-cache --test tree_reference
 echo "==> sha-256 kernels vs scalar (4096 cases)"
 PROPTEST_CASES=4096 cargo test --release -q -p fidr-hash
 
+# And for the write path: random write / overwrite / read / delete /
+# flush / GC histories read back their newest content, and committing a
+# batch one lane group per write exports exactly what a whole-batch
+# commit per filling write exports.
+echo "==> open batch vs whole-batch commits (2048 cases)"
+PROPTEST_CASES=2048 cargo test --release -q -p fidr-core --lib open_batch_matches_whole_batch_commits
+
 # Span-export smoke test: a small traced workload must produce a
 # Perfetto-loadable fidr.spans.v1 file (the exporter validates the JSON
 # shape before writing; the greps double-check the file on disk). CI

@@ -504,9 +504,13 @@ impl Shared {
 
     /// The full merged snapshot: backend pipeline metrics + `pool.*`
     /// wall-clock counters + `server.*` counters + per-stream rollups.
-    /// The one shape both the drain export and the sampler observe.
+    /// The one shape both the drain export and the sampler observe. It
+    /// settles the backend's open batch first, so a scrape sees what a
+    /// read would.
     fn merged_metrics(&self) -> MetricsSnapshot {
-        let system = self.system.lock().expect("system lock");
+        let mut system = self.system.lock().expect("system lock");
+        // A failed commit stays open and the next op reports it.
+        let _ = system.settle();
         let mut out = system.metrics();
         system.export_pool_metrics(&mut out);
         drop(system);

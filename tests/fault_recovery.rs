@@ -147,6 +147,60 @@ fn no_acked_write_is_lost_under_mixed_faults() {
     );
 }
 
+/// A batch whose lookups or commits fail stays open at its first
+/// uncommitted entry: the next write or flush resumes it, so no acked
+/// write is left only in the NIC buffer when a checkpoint is taken.
+#[test]
+fn failed_batch_keeps_its_acked_tail() {
+    let plans = ["seed=3,table_read=0.6", "seed=5,data_write=0.5"];
+    for spec in plans {
+        for hash_batch in [8, 64] {
+            let cfg = FidrConfig {
+                hash_batch,
+                retry: fidr::faults::RetryPolicy {
+                    max_retries: 1,
+                    ..Default::default()
+                },
+                ..faulty_cfg(FaultPlan::parse(spec).unwrap())
+            };
+            let gen = ContentGenerator::new(0.5);
+            let mut sys = FidrSystem::new(cfg.clone());
+            let mut acked = Vec::new();
+            let mut failed = 0;
+            for i in 0..400u64 {
+                match sys.write(Lba(i), chunk(&gen, i)) {
+                    Ok(()) => acked.push(i),
+                    Err(_) => failed += 1,
+                }
+            }
+            assert!(failed > 0, "{spec} at batch {hash_batch} must fail writes");
+            flush_until_ok(&mut sys);
+            let snapshot = (0..32)
+                .find_map(|_| sys.checkpoint().ok())
+                .expect("checkpoint still failing after 32 attempts");
+            let mut restored = FidrSystem::restore(
+                FidrConfig {
+                    faults: FaultPlan::default(),
+                    ..cfg
+                },
+                snapshot,
+            );
+            let lost: Vec<u64> = acked
+                .iter()
+                .copied()
+                .filter(|&i| restored.read(Lba(i)).ok() != Some(gen.chunk(i, 4096)))
+                .collect();
+            assert!(
+                lost.is_empty(),
+                "{spec} at batch {hash_batch}: {} of {} acked writes lost, first {:?}",
+                lost.len(),
+                acked.len(),
+                &lost[..lost.len().min(8)]
+            );
+        }
+    }
+}
+
 #[test]
 fn hw_engine_failure_degrades_to_software_cache() {
     let plan = FaultPlan::parse("seed=1,engine_at=50").unwrap();
