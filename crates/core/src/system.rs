@@ -203,16 +203,20 @@ impl TieredState {
 }
 
 /// A NIC batch taken for the host whose entries are not all committed
-/// yet. Each write commits the next [`LANE_GROUP`] entries and every
-/// other op commits the rest first, so without errors it lives only
-/// between consecutive writes; a failed lookup or commit keeps it open
-/// until one succeeds.
+/// yet. Each write resolves and commits the next [`LANE_GROUP`] entries
+/// and every other op commits the rest first, so without errors it lives
+/// only between consecutive writes; a failed lookup or commit keeps it
+/// open until one succeeds.
 #[derive(Debug)]
 struct OpenBatch {
     chunks: Vec<HashedChunk>,
     temps: Option<Vec<Temperature>>,
-    /// Each chunk's dedup hit; `None` until the lookups succeed.
-    resolved: Option<Vec<Option<Pbn>>>,
+    /// The store's PBN cursor at the take: a lookup hit at or past it is
+    /// a chunk an earlier group of this batch staged.
+    first_pbn: Pbn,
+    /// The dedup hit of each resolved entry, a prefix of `chunks`.
+    resolved: Vec<Option<Pbn>>,
+    /// Speculative compressions of the resolved entries, by entry.
     precompressed: Vec<Option<(CompressedChunk, Duration)>>,
     /// The first entry not yet committed.
     next: usize,
@@ -260,6 +264,10 @@ pub struct FidrSystem {
     tiered: Option<TieredState>,
     /// The batch the last batch-filling write opened, until committed.
     open: Option<OpenBatch>,
+    /// Resolve each open batch with one lookup over the whole batch:
+    /// the reference the tests hold the per-group lookups to.
+    #[cfg(test)]
+    whole_batch_lookups: bool,
 }
 
 /// Ledger positions captured before a cache access, used to split the
@@ -321,6 +329,8 @@ impl FidrSystem {
             pool,
             tiered: cfg.tiered.as_ref().map(TieredState::new),
             open: None,
+            #[cfg(test)]
+            whole_batch_lookups: false,
             cfg,
         }
     }
@@ -433,9 +443,10 @@ impl FidrSystem {
 
     /// Accepts one 4-KB client write (Figure 6a step 1). The NIC buffers
     /// and acks. The write that brings the NIC to `hash_batch` chunks
-    /// runs the batch's dedup lookups and commits its first
-    /// [`LANE_GROUP`] entries; each following write commits the next
-    /// group, and every other op [`settle`](Self::settle)s first.
+    /// takes the batch, then looks up and commits its first
+    /// [`LANE_GROUP`] entries; each following write looks up and commits
+    /// the next group, and every other op [`settle`](Self::settle)s
+    /// first.
     ///
     /// # Errors
     ///
@@ -449,12 +460,11 @@ impl FidrSystem {
         self.store.end_op(op, out)
     }
 
-    /// Accepts a batch of 4-KB client writes. Functionally identical to
-    /// calling [`write`](FidrSystem::write) per chunk — the NIC still
-    /// drains a pipeline batch every `hash_batch` chunks — but this is
-    /// the natural entry point for the multi-worker per-socket pipeline
-    /// ([`FidrConfig::workers`]): each drained batch fans hashing, dedup
-    /// lookup and compression out across the worker pool.
+    /// Accepts a batch of 4-KB client writes: exactly
+    /// [`write`](FidrSystem::write) per chunk, so the NIC still takes a
+    /// batch every `hash_batch` chunks. With [`FidrConfig::workers`] > 1
+    /// each lane group's dedup lookups and speculative compression fan
+    /// out across the worker pool; the NIC has already hashed the chunks.
     ///
     /// # Errors
     ///
@@ -527,7 +537,7 @@ impl FidrSystem {
         if self.open.is_some() {
             self.commit_open(LANE_GROUP)?;
         } else if self.nic.pending_len() >= self.cfg.hash_batch {
-            self.open_batch()?;
+            self.open_batch();
             self.commit_open(LANE_GROUP)?;
         }
         Ok(())
@@ -794,30 +804,32 @@ impl FidrSystem {
     /// 6a. Called only with no batch open: the flush and delete drains
     /// and the NIC-pressure drain run it.
     ///
-    /// A write runs the same work in two halves. The write that fills the
-    /// batch runs the first, [`open_batch`](Self::open_batch): the take,
-    /// the per-batch charges, every chunk's dedup lookup and the
-    /// uniqueness flags. The lookups stay whole, so the table cache sees
-    /// the same accesses in the same order at any split. That write then
-    /// commits the first [`LANE_GROUP`] entries, and each following write
-    /// commits the next group after its own admission
-    /// ([`commit_open`](Self::commit_open)), so no single ack carries the
-    /// whole batch. Every other op [`settle`](Self::settle)s first, so it
-    /// sees the state a whole-batch commit would have left.
+    /// A write spreads the same work over the writes that follow. The
+    /// write that fills the batch runs [`open_batch`](Self::open_batch):
+    /// the take and the per-batch charges. It then looks up and commits
+    /// the first [`LANE_GROUP`] entries, and each following write looks
+    /// up and commits the next group after its own admission
+    /// ([`commit_open`](Self::commit_open)), so no single ack carries more
+    /// than one group of lookups and commits. A lookup that hits a chunk
+    /// an earlier group of the same batch staged keeps the unique flag a
+    /// whole-batch lookup would have given it, so the flags, transfers
+    /// and re-validations are the whole batch's. Every other op
+    /// [`settle`](Self::settle)s first, so it sees the state a
+    /// whole-batch commit would have left.
     ///
-    /// Hashing is not part of either half: the NIC hashed each chunk as
+    /// Hashing is not part of any of this: the NIC hashed each chunk as
     /// it arrived, sixteen at a time on the fastest batch kernel the host
     /// has, and [`FidrConfig::hash_engines`] only scales the *modelled*
     /// hash time. With [`FidrConfig::workers`] > 1 (and an inert fault
     /// plan — armed faults key off global device-call order, so they
-    /// force the serial path) the dedup lookups run shard-owned on the
-    /// persistent [`WorkerPool`] via
+    /// force the serial path) each group's dedup lookups run shard-owned
+    /// on the persistent [`WorkerPool`] via
     /// [`CacheBackend::lookup_batch_parallel`], and lookup-flagged uniques
     /// precompress speculatively on the pool. All ledger charges, spans
     /// and commits replay on this thread in batch order, so every
     /// modelled export is byte-identical for any worker count.
     fn process_batch(&mut self) -> Result<(), FidrError> {
-        self.open_batch()?;
+        self.open_batch();
         self.settle()
     }
 
@@ -831,12 +843,11 @@ impl FidrSystem {
         }
     }
 
-    /// The first half of a batch: takes up to `hash_batch` chunks from
-    /// the NIC, charges the per-batch work and resolves every chunk's
-    /// dedup status ([`resolve`](Self::resolve)); the result is the open
-    /// batch. A failed lookup leaves it open with nothing resolved, and
-    /// its next commit retries the lookups.
-    fn open_batch(&mut self) -> Result<(), FidrError> {
+    /// Opens a batch: takes up to `hash_batch` chunks from the NIC and
+    /// charges the per-batch work. It looks nothing up: each entry's dedup
+    /// status is [`resolve`](Self::resolve)d one lane group at a time, as
+    /// the commit cursor reaches it.
+    fn open_batch(&mut self) {
         debug_assert!(self.open.is_none(), "one batch open at a time");
         let cost = self.cfg.cost;
         // Step 2: in-NIC hashing (no CPU, no host memory). The NIC hashed
@@ -844,7 +855,7 @@ impl FidrSystem {
         // modelled hash time below stays here, keyed to `hash_engines`.
         let chunks = self.nic.take_hash_batch(self.cfg.hash_batch);
         if chunks.is_empty() {
-            return Ok(());
+            return;
         }
         let hash_span = self.store.tracer.begin("hash");
         if self.store.tracer.is_enabled() {
@@ -882,45 +893,48 @@ impl FidrSystem {
                 })
                 .collect()
         });
-        let mut open = OpenBatch {
+        self.store.advance_host(host_mark);
+        self.open = Some(OpenBatch {
+            resolved: Vec::with_capacity(chunks.len()),
+            precompressed: Vec::with_capacity(chunks.len()),
             chunks,
             temps,
-            resolved: None,
-            precompressed: Vec::new(),
+            first_pbn: self.store.next_pbn(),
             next: 0,
-        };
-        let out = self.resolve(&mut open, host_mark);
-        self.open = Some(open);
-        out
+        });
     }
 
-    /// Steps 3–7 for a whole batch, all or nothing: the device manager
-    /// computes every chunk's bucket location, ships the batch to the
-    /// cache engine (Figure 8's batch interface) and scans the returned
-    /// lines for duplicate status — the host-software cost FIDR keeps
-    /// (§5.2.4); the flags go back to the NIC and the unique chunks on to
-    /// the Compression Engine. `host_mark` is the host time already
-    /// charged to the tracer.
-    fn resolve(&mut self, open: &mut OpenBatch, host_mark: u64) -> Result<(), FidrError> {
+    /// Steps 3–7 for the open batch's next lane group, all or nothing: the
+    /// device manager computes each chunk's bucket location, ships the
+    /// group to the cache engine (Figure 8's batch interface) and scans
+    /// the returned lines for duplicate status — the host-software cost
+    /// FIDR keeps (§5.2.4); the flags go back to the NIC and the unique
+    /// chunks on to the Compression Engine.
+    fn resolve(&mut self, open: &mut OpenBatch) -> Result<(), FidrError> {
         let cost = self.cfg.cost;
         let traced = self.store.tracer.is_enabled();
         let workers = self.workers();
         let num_buckets = self.table_ssd.num_buckets();
-        let requests: Vec<(u64, Fingerprint)> = open
-            .chunks
-            .iter()
-            .map(|c| (c.fingerprint.bucket_index(num_buckets), c.fingerprint))
+        let start = open.resolved.len();
+        let end = start
+            .saturating_add(self.lookup_group())
+            .min(open.chunks.len());
+        let group = &open.chunks[start..end];
+        let lookup_idx: Vec<usize> = (0..group.len())
+            .filter(|&i| {
+                open.temps
+                    .as_ref()
+                    .is_none_or(|t| t[start + i] == Temperature::Hot)
+            })
             .collect();
-        let (lookups, lookup_idx): (Vec<(u64, Fingerprint)>, Option<Vec<usize>>) = match &open.temps
-        {
-            Some(t) => {
-                let idx: Vec<usize> = (0..requests.len())
-                    .filter(|&i| t[i] == Temperature::Hot)
-                    .collect();
-                (idx.iter().map(|&i| requests[i]).collect(), Some(idx))
-            }
-            None => (requests, None),
-        };
+        let lookups: Vec<(u64, Fingerprint)> = lookup_idx
+            .iter()
+            .map(|&i| {
+                let fp = group[i].fingerprint;
+                (fp.bucket_index(num_buckets), fp)
+            })
+            .collect();
+        let host_mark = self.store.host_mark();
         self.check_engine(lookups.len() as u64)?;
         self.store.advance_host(host_mark);
         let cache_span = self.store.tracer.begin("cache");
@@ -938,10 +952,13 @@ impl FidrSystem {
             self.cache
                 .lookup_batch(&lookups, &mut self.table_ssd, &mut self.store.ledger, &cost)
         }?;
-        let mut resolved: Vec<Option<Pbn>> = vec![None; open.chunks.len()];
-        for (j, (pbn, _access)) in results.into_iter().enumerate() {
-            let i = lookup_idx.as_ref().map_or(j, |idx| idx[j]);
-            resolved[i] = pbn;
+        let mut resolved: Vec<Option<Pbn>> = vec![None; group.len()];
+        for (&i, (pbn, _access)) in lookup_idx.iter().zip(results) {
+            // A chunk an earlier group of this batch staged was not in the
+            // table when the batch was taken: keep the unique flag a
+            // whole-batch lookup would have given, and let commit-time
+            // re-validation find the duplicate.
+            resolved[i] = pbn.filter(|&pbn| pbn < open.first_pbn);
         }
         let unique_flags: Vec<bool> = resolved.iter().map(Option::is_none).collect();
         if traced {
@@ -949,7 +966,7 @@ impl FidrSystem {
             self.store.tracer.attr(cache_span, "dup_hits", dup_hits);
             self.store
                 .tracer
-                .attr(cache_span, "uniques", open.chunks.len() - dup_hits);
+                .attr(cache_span, "uniques", group.len() - dup_hits);
         }
         self.finish_cache_span(cache_span, cache_marks);
         let host_mark = self.store.host_mark();
@@ -959,12 +976,12 @@ impl FidrSystem {
             &mut self.store.ledger,
             PcieLink::NicHost,
             MemPath::NicBuffering,
-            open.chunks.len() as u64,
+            group.len() as u64,
         );
 
         // Step 7: the compression scheduler ships unique chunks NIC →
         // Compression Engine peer-to-peer.
-        for (chunk, _) in open.chunks.iter().zip(&unique_flags).filter(|(_, &u)| u) {
+        for (chunk, _) in group.iter().zip(&unique_flags).filter(|(_, &u)| u) {
             ops::p2p(
                 &mut self.store.ledger,
                 PcieLink::NicCompressionP2p,
@@ -980,14 +997,27 @@ impl FidrSystem {
         // `commit_unique_with` and its speculative output is discarded
         // unrecorded — exactly the chunks the serial path never
         // compresses.
-        open.precompressed =
-            precompress_uniques(&open.chunks, &unique_flags, workers, self.pool.as_ref());
-        open.resolved = Some(resolved);
+        open.precompressed.extend(precompress_uniques(
+            group,
+            &unique_flags,
+            workers,
+            self.pool.as_ref(),
+        ));
+        open.resolved.extend(resolved);
         Ok(())
     }
 
-    /// Commits up to `n` more entries of the open batch, retrying its
-    /// lookups first if an error left them undone. After the last entry
+    /// Entries [`resolve`](Self::resolve) looks up at once.
+    fn lookup_group(&self) -> usize {
+        #[cfg(test)]
+        if self.whole_batch_lookups {
+            return usize::MAX;
+        }
+        LANE_GROUP
+    }
+
+    /// Commits up to `n` more entries of the open batch
+    /// ([`commit_entries`](Self::commit_entries)). After the last entry
     /// the batch closes and the opportunistic scrub runs, as at the end
     /// of a whole batch. An error leaves the batch open at its first
     /// uncommitted entry, for the next op to resume.
@@ -1028,23 +1058,23 @@ impl FidrSystem {
     }
 
     /// Commits entries of `open` in batch order, from its cursor, up to
-    /// `n` of them: duplicates update the LBA map; uniques compress, stage
-    /// in engine DRAM, and gain table entries. An entry counts as
-    /// committed once staged: a seal the device refuses reopens the
-    /// container, and the next seal retries it.
+    /// `n` of them, resolving each lane group as the cursor reaches it:
+    /// duplicates update the LBA map; uniques compress, stage in engine
+    /// DRAM, and gain table entries. An entry counts as committed once
+    /// staged: a seal the device refuses reopens the container, and the
+    /// next seal retries it. A failed lookup leaves its group unresolved,
+    /// for the next commit to retry.
     fn commit_entries(&mut self, open: &mut OpenBatch, n: usize) -> Result<(), FidrError> {
-        if open.resolved.is_none() {
-            let host_mark = self.store.host_mark();
-            self.resolve(open, host_mark)?;
-        }
         let cost = self.cfg.cost;
         let traced = self.store.tracer.is_enabled();
-        let resolved = open.resolved.as_ref().expect("lookups resolved above");
         let end = open.chunks.len().min(open.next.saturating_add(n));
         while open.next < end {
+            if open.next == open.resolved.len() {
+                self.resolve(open)?;
+            }
             let i = open.next;
             let chunk = &open.chunks[i];
-            if let Some(pbn) = resolved[i] {
+            if let Some(pbn) = open.resolved[i] {
                 let span = self.store.tracer.begin("dedup");
                 if traced {
                     self.store.tracer.attr(span, "lba", chunk.lba.0);
@@ -1101,8 +1131,8 @@ impl FidrSystem {
     ) -> Result<bool, FidrError> {
         let cost = self.cfg.cost;
         // Step 10 begins with re-validation: an identical chunk earlier in
-        // this batch may have stored the content already (the flags were
-        // computed before any commit).
+        // this batch may have stored the content already (a lookup flags
+        // a hit on this batch's own commits unique).
         let bucket_idx = chunk.fingerprint.bucket_index(self.table_ssd.num_buckets());
         self.check_engine(1)?;
         let cache_span = self.store.tracer.begin("cache");
@@ -1895,16 +1925,49 @@ mod tests {
             s.write(Lba(i), chunk(i)).unwrap();
         }
         assert_eq!(open_split(&s), None);
+        assert_eq!(s.cache_stats().accesses, 0);
         s.write(Lba(63), chunk(63)).unwrap();
         assert_eq!(open_split(&s), Some((16, 48)), "the filling write");
         assert_eq!(s.stats().unique_chunks, 16);
+        // One group's lookups and one group's re-validations, not the
+        // whole batch's lookups.
+        assert_eq!(s.cache_stats().accesses, 32, "the filling write");
         s.write(Lba(64), chunk(64)).unwrap();
         assert_eq!(open_split(&s), Some((32, 32)));
+        assert_eq!(s.cache_stats().accesses, 64);
         s.write(Lba(65), chunk(65)).unwrap();
         s.write(Lba(66), chunk(66)).unwrap();
         assert_eq!(open_split(&s), None, "closed three writes on");
         assert_eq!(s.stats().unique_chunks, 64);
+        assert_eq!(s.cache_stats().accesses, 128);
         assert_eq!(s.nic.pending_len(), 3);
+    }
+
+    #[test]
+    fn a_duplicate_across_groups_keeps_the_whole_batch_accounting() {
+        // Entry 40 repeats entry 3, which the first group stages before
+        // the third group looks entry 40 up. A whole-batch lookup saw the
+        // table before any commit, so entry 40 is flagged unique, ships
+        // to the compression engine, and re-validation finds the
+        // duplicate.
+        let mut s = sys64();
+        for i in 0..64u64 {
+            let tag = if i == 40 { 3 } else { i };
+            s.write(Lba(i), chunk(tag)).unwrap();
+        }
+        s.settle().unwrap();
+        let st = s.stats();
+        assert_eq!((st.duplicate_chunks, st.unique_chunks), (1, 63));
+        assert_eq!(
+            s.metrics().counter("pcie.nic_compression_p2p.bytes"),
+            Some(64 * 4096)
+        );
+        assert_eq!(
+            s.cache_stats().accesses,
+            128,
+            "64 lookups, 64 re-validations"
+        );
+        assert_eq!(s.read(Lba(40)).unwrap(), chunk(3).to_vec());
     }
 
     #[test]
@@ -1981,7 +2044,7 @@ mod tests {
     /// Runs `steps` on `s`, settling after every write when `eager` (a
     /// whole-batch commit per filling write), and checks every read
     /// against the newest acked content.
-    fn run_history(s: &mut FidrSystem, steps: &[Step], eager: bool) -> String {
+    fn run_history(s: &mut FidrSystem, steps: &[Step], eager: bool) -> MetricsSnapshot {
         let mut newest: std::collections::HashMap<u64, u64> = Default::default();
         for (n, step) in steps.iter().enumerate() {
             match *step {
@@ -2012,7 +2075,12 @@ mod tests {
         for (&lba, &tag) in &newest {
             assert_eq!(s.read(Lba(lba)).unwrap(), chunk(tag).to_vec());
         }
-        s.metrics().to_json()
+        s.metrics()
+    }
+
+    fn hash_batches() -> impl proptest::strategy::Strategy<Value = usize> {
+        use proptest::prelude::*;
+        prop_oneof![Just(8usize), Just(16), Just(17), Just(48), Just(64)]
     }
 
     proptest::proptest! {
@@ -2022,19 +2090,38 @@ mod tests {
         /// per filling write exports (`settle` after every write).
         #[test]
         fn open_batch_matches_whole_batch_commits(
-            hash_batch in proptest::prop_oneof![
-                proptest::prelude::Just(8usize),
-                proptest::prelude::Just(16),
-                proptest::prelude::Just(17),
-                proptest::prelude::Just(48),
-                proptest::prelude::Just(64),
-            ],
+            hash_batch in hash_batches(),
             steps in proptest::collection::vec(step(), 1..160),
         ) {
             let cfg = FidrConfig { hash_batch, ..sys().cfg };
             let lazy = run_history(&mut FidrSystem::new(cfg.clone()), &steps, false);
             let eager = run_history(&mut FidrSystem::new(cfg), &steps, true);
-            proptest::prop_assert_eq!(lazy, eager);
+            proptest::prop_assert_eq!(lazy.to_json(), eager.to_json());
+        }
+
+        /// The same histories, lane-group lookups against one whole-batch
+        /// lookup per take, on a cache that never evicts (so LRU order
+        /// cannot matter): every export but the span counts, which gain
+        /// a `cache` span per group, is identical.
+        #[test]
+        fn group_lookups_match_whole_batch_lookups(
+            hash_batch in hash_batches(),
+            steps in proptest::collection::vec(step(), 1..160),
+        ) {
+            let cfg = FidrConfig { hash_batch, cache_lines: 256, ..sys().cfg };
+            let mut whole = FidrSystem::new(cfg.clone());
+            whole.whole_batch_lookups = true;
+            let mut exports = [
+                run_history(&mut FidrSystem::new(cfg), &steps, false),
+                run_history(&mut whole, &steps, false),
+            ];
+            for m in &mut exports {
+                proptest::prop_assert_eq!(m.counter("cache.evictions.count").unwrap_or(0), 0);
+                m.set_counter("trace.spans.count", 0);
+                m.set_counter("trace.dropped_spans", 0);
+            }
+            let [groups, whole] = exports;
+            proptest::prop_assert_eq!(groups.to_json(), whole.to_json());
         }
     }
 

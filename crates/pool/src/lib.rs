@@ -1,6 +1,8 @@
 //! # fidr-pool
 //!
-//! A persistent worker pool for the FIDR per-socket batch pipeline.
+//! A persistent worker pool for the per-socket batch pipelines: FIDR's
+//! per-lane-group dedup lookups and speculative compression (its NIC
+//! hashes), and the baseline's batch hashing and compression.
 //!
 //! Before this crate, every drained NIC batch spawned fresh scoped
 //! threads for hashing, dedup lookups and speculative compression —

@@ -423,6 +423,12 @@ impl ChunkStore {
         }
     }
 
+    /// The PBN the next [`stage`](Self::stage) allocates. PBNs are never
+    /// reused, so every chunk staged from now on has a PBN at or past it.
+    pub fn next_pbn(&self) -> Pbn {
+        Pbn(self.next_pbn)
+    }
+
     /// Stages a new unique chunk: allocates its PBN, installs `fp → pbn`
     /// in `entry` (the engine's cached Hash-PBN bucket; `None` when the
     /// entry is installed later), appends the chunk to the open container

@@ -54,6 +54,12 @@ PROPTEST_CASES=4096 cargo test --release -q -p fidr-hash
 echo "==> open batch vs whole-batch commits (2048 cases)"
 PROPTEST_CASES=2048 cargo test --release -q -p fidr-core --lib open_batch_matches_whole_batch_commits
 
+# And for the lookups: resolving each lane group as the commit cursor
+# reaches it exports what one whole-batch lookup per take exports, on a
+# cache that never evicts (only the span counts differ).
+echo "==> lane-group vs whole-batch lookups (2048 cases)"
+PROPTEST_CASES=2048 cargo test --release -q -p fidr-core --lib group_lookups_match_whole_batch_lookups
+
 # Span-export smoke test: a small traced workload must produce a
 # Perfetto-loadable fidr.spans.v1 file (the exporter validates the JSON
 # shape before writing; the greps double-check the file on disk). CI
@@ -68,23 +74,28 @@ grep -q '"name":"write"' "$SPANS_OUT"
 echo "    $SPANS_OUT: $(grep -c '"ph":"X"' "$SPANS_OUT") span events"
 
 # Parallel-pipeline determinism gate: the same seeded workload must export
-# byte-identical fidr.metrics.v1 snapshots (a) across repeat runs with
-# --workers 4 and (b) between --workers 1 and --workers 4. The ordered
-# batch merge makes every export independent of worker count; a diff here
-# means a charge, counter or span escaped the batch-order replay.
-echo "==> worker determinism (repeat run + workers 1 vs 4)"
+# byte-identical fidr.metrics.v1 snapshots and fidr.spans.v1 files (a)
+# across repeat runs with --workers 4 and (b) between --workers 1 and
+# --workers 4. The ordered merge of each lane group's lookups makes every
+# export independent of worker count; a diff here means a charge,
+# counter or span escaped the batch-order replay.
+echo "==> worker determinism (repeat run + workers 1 vs 4, metrics + spans)"
 DET_DIR="${DET_DIR:-target/ci-determinism}"
 mkdir -p "$DET_DIR"
 for run in a b; do
   cargo run --release -q --bin fidr -- run \
     --workload write-h --variant full --ops 2000 --workers 4 --cache-shards 4 \
-    --metrics-out "$DET_DIR/w4-$run.json" > /dev/null
+    --metrics-out "$DET_DIR/w4-$run.json" \
+    --spans-out "$DET_DIR/w4-s$run.json" > /dev/null
 done
 diff "$DET_DIR/w4-a.json" "$DET_DIR/w4-b.json"
+diff "$DET_DIR/w4-sa.json" "$DET_DIR/w4-sb.json"
 cargo run --release -q --bin fidr -- run \
   --workload write-h --variant full --ops 2000 --workers 1 --cache-shards 4 \
-  --metrics-out "$DET_DIR/w1.json" > /dev/null
+  --metrics-out "$DET_DIR/w1.json" \
+  --spans-out "$DET_DIR/w1-s.json" > /dev/null
 diff "$DET_DIR/w1.json" "$DET_DIR/w4-a.json"
+diff "$DET_DIR/w1-s.json" "$DET_DIR/w4-sa.json"
 echo "    exports byte-identical"
 
 # The same contract for the baseline engine, whose batched-write path

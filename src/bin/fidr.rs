@@ -70,8 +70,10 @@ USAGE:
 
 WORKLOADS:  write-h | write-m | write-l | read-mixed | vdi | database
 VARIANTS:   baseline | nic-p2p | hw-single | full
-PARALLEL:   --workers N fans each pipeline batch (hashing, dedup lookup,
-            compression) over N host threads; --cache-shards N splits the
+PARALLEL:   --workers N fans FIDR's dedup lookups and speculative
+            compression, one lane group at a time, over N host threads
+            (FIDR hashes in the NIC; the baseline fans its hashing and
+            compression per write batch); --cache-shards N splits the
             table cache into N hash-prefix shards, each with its own index
             engine. Results merge in batch order, so metrics and spans
             exports stay byte-identical for any --workers value. With an
