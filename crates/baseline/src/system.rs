@@ -303,7 +303,7 @@ impl BaselineSystem {
             Some(p) => p.fingerprint,
             None => Fingerprint::of(&data),
         };
-        self.store.tracer.advance(self.store.time.hash_ns(len, 1));
+        self.store.tracer.advance(self.store.time.hash_ns(len));
         mark = self.store.advance_host(mark);
         self.store.tracer.end(hash_span);
         let mut compressed = if predicted_unique {

@@ -19,8 +19,8 @@
 //! mode: deterministic modelled GB/s (same [`TimeModel`] aggregate as
 //! `RunReport::modelled_ns`), the end-state dedup ratio (deferred dedup
 //! must converge to the same reduction), and the DRAM hit rate. The
-//! `tiered-cache:` lines are machine-readable for
-//! `scripts/bench_snapshot.sh` and the `scripts/check.sh` gate.
+//! `tiered-cache:` lines are machine-readable for the `scripts/check.sh`
+//! tiered-cache gate.
 
 use fidr::cache::TieredPolicyConfig;
 use fidr::core::TieredDedupConfig;
@@ -104,8 +104,7 @@ fn main() {
         tiered_gbps / flat_gbps
     );
 
-    // Machine-readable lines for scripts/bench_snapshot.sh and the
-    // scripts/check.sh ablation gate.
+    // Machine-readable lines for the scripts/check.sh ablation gate.
     for (name, r) in [("flat", &flat), ("tiered", &tiered)] {
         let count = |key: &str| r.metrics.counter(key).unwrap_or(0);
         println!(

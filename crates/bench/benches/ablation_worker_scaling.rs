@@ -95,7 +95,7 @@ impl Window {
         let lookup_ns = time.cycles_ns(lookup_cycles);
         let unique_bytes = (after.unique_chunks - before.unique_chunks) * 4096;
         let parallel_ns = lookup_ns
-            + time.hash_ns(client_bytes, 1)
+            + time.hash_ns(client_bytes)
             + time.compress_ns(unique_bytes)
             + time.table_ssd_ns(table_bytes, table_ios);
         let serial_ns = (host_ns - lookup_ns.min(host_ns))
@@ -204,7 +204,7 @@ fn main() {
         modelled.push(modelled_gbps);
     }
 
-    // Machine-readable lines for scripts/bench_snapshot.sh.
+    // Machine-readable lines for the scripts/check.sh wall-speedup gate.
     for (i, &workers) in [1usize, 2, 4].iter().enumerate() {
         println!(
             "worker-scaling: workers={workers} wall_gbps={:.4} wall_gbps_min={:.4} \

@@ -38,7 +38,6 @@ mod btree;
 mod hwtree;
 mod lru;
 mod pipelined;
-mod priority_lru;
 mod sharded;
 mod table_cache;
 mod tiered;
@@ -47,7 +46,6 @@ pub use btree::{BPlusTree, IndexOps};
 pub use hwtree::{HwTree, HwTreeConfig, HwTreeStats};
 pub use lru::{FreeList, LruList};
 pub use pipelined::PipelinedTree;
-pub use priority_lru::{Priority, PriorityLruCache, TenantStats};
 pub use sharded::ShardedTableCache;
 pub use table_cache::{Access, CacheIndex, CacheStats, ScrubGroup, ScrubResult, TableCache};
 pub use tiered::{Temperature, TierPolicyStats, TieredPolicy, TieredPolicyConfig};

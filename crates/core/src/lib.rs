@@ -39,13 +39,11 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod hotcache;
 mod latency;
 mod system;
 
 pub use backend::{CacheBackend, CacheMode};
 pub use fidr_tables::{Snapshot, SnapshotError};
 pub use fidr_trace::{TraceConfig, Tracer};
-pub use hotcache::{HotCacheStats, HotReadCache};
 pub use latency::{LatencyModel, Stage};
 pub use system::{FidrConfig, FidrError, FidrSystem, TieredDedupConfig, DEFAULT_STREAM_SHIFT};

@@ -15,7 +15,6 @@
 //! Decompression Engine → NIC transfers, again bypassing host memory.
 
 use crate::backend::{CacheBackend, CacheMode};
-use crate::hotcache::{HotCacheStats, HotReadCache};
 use bytes::Bytes;
 use fidr_cache::{
     CacheStats, HwTree, HwTreeStats, ScrubResult, ShardedTableCache, Temperature, TieredPolicy,
@@ -49,23 +48,14 @@ pub struct FidrConfig {
     pub container_threshold: usize,
     /// NIC buffer DRAM in bytes.
     pub nic_buffer_bytes: u64,
-    /// Chunks the NIC accumulates before hashing a batch.
+    /// Hashed chunks one batch takes from the NIC to look up and commit
+    /// (the NIC hashes each 16-chunk lane group as it lands).
     pub hash_batch: usize,
-    /// Parallel in-NIC SHA cores the time model charges a batch's
-    /// hashing to (§6.2 instantiates several to sustain line rate). The
-    /// software digest is the same batch kernel at any value.
-    pub hash_engines: usize,
     /// Table-cache drive mode (software vs HW-Engine; Figure 14 stages).
     pub cache_mode: CacheMode,
     /// Modelled HW-tree pipeline depth (None derives it from
     /// `cache_lines`; experiments set the PB-scale 14).
     pub hwtree_levels: Option<usize>,
-    /// Hot-block read cache capacity in chunks (0 = off) — the §8
-    /// extension for skewed read access.
-    pub hot_read_cache_chunks: usize,
-    /// Offload the data-SSD NVMe stack for reads to the FPGA as well —
-    /// the §7.5 future-work item (removes the residual read-path CPU).
-    pub read_stack_offload: bool,
     /// Data SSDs in the array.
     pub data_ssds: u32,
     /// Calibrated per-operation costs.
@@ -129,11 +119,8 @@ impl Default for FidrConfig {
             container_threshold: 4 << 20,
             nic_buffer_bytes: 1 << 30,
             hash_batch: 64,
-            hash_engines: 1,
             cache_mode: CacheMode::HwEngine { update_slots: 4 },
             hwtree_levels: None,
-            hot_read_cache_chunks: 0,
-            read_stack_offload: false,
             data_ssds: 2,
             cost: CostParams::default(),
             faults: FaultPlan::default(),
@@ -246,7 +233,6 @@ pub struct FidrSystem {
     /// LBA map, containers, data SSDs, delete/GC/checkpoint lifecycle,
     /// ledger and tracer — everything shared with the baseline.
     store: ChunkStore,
-    hot_cache: HotReadCache,
     /// Shared fault injector armed into every device model.
     faults: FaultInjector,
     /// The HW-Engine cache retired by graceful degradation — kept so its
@@ -322,7 +308,6 @@ impl FidrSystem {
             ),
             table_ssd,
             store,
-            hot_cache: HotReadCache::new(cfg.hot_read_cache_chunks),
             faults,
             retired_hw: None,
             nic_drain_rounds: 0,
@@ -592,7 +577,6 @@ impl FidrSystem {
                 self.process_batch()?;
             }
         }
-        self.hot_cache.invalidate(lba);
         self.store.unmap(lba)
     }
 
@@ -653,20 +637,6 @@ impl FidrSystem {
         ledger.charge_cpu(CpuTask::NicDriver, cost.nic_driver_cycles_per_chunk);
         ledger.charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
 
-        // §8 extension: frequently read blocks served from host DRAM.
-        if let Some(hot) = self.hot_cache.get(lba) {
-            let data = hot.to_vec();
-            ops::dma_from_host(
-                &mut self.store.ledger,
-                PcieLink::NicHost,
-                MemPath::DataSsdStaging,
-                data.len() as u64,
-            );
-            self.store.tracer.attr(op, "hotcache_hit", true);
-            self.store.advance_host(mark);
-            return Ok(data);
-        }
-
         let (pbn, loc) = self.store.locate(lba)?;
         let io_bytes = loc.compressed_len as u64 + 4;
 
@@ -688,18 +658,15 @@ impl FidrSystem {
         let data = fetched?;
 
         // Steps 5–7: data SSD → Decompression Engine → NIC, all P2P. The
-        // host only orchestrates — and with the §7.5 future-work offload,
-        // even the read-side NVMe stack leaves the CPU.
+        // host only orchestrates, running the data-SSD NVMe stack.
         ops::p2p(
             &mut self.store.ledger,
             PcieLink::DataSsdDecompressionP2p,
             io_bytes,
         );
-        if !self.cfg.read_stack_offload {
-            self.store
-                .ledger
-                .charge_cpu(CpuTask::DataSsdStack, cost.data_ssd_io_cycles);
-        }
+        self.store
+            .ledger
+            .charge_cpu(CpuTask::DataSsdStack, cost.data_ssd_io_cycles);
         self.store.ledger.data_ssd_read_bytes += io_bytes;
 
         let decompress_span = self.store.tracer.begin("compress");
@@ -726,22 +693,8 @@ impl FidrSystem {
         }
         self.store.tracer.end(nic_span);
 
-        if !self.hot_cache.is_disabled() {
-            // Admission copies the decompressed block into host DRAM.
-            ops::cpu_touch(
-                &mut self.store.ledger,
-                MemPath::DataSsdStaging,
-                data.len() as u64,
-            );
-            self.hot_cache.offer(lba, data.clone());
-        }
         self.store.advance_host(mark);
         Ok(data)
-    }
-
-    /// Hot-read-cache counters (inert unless enabled in the config).
-    pub fn hot_cache_stats(&self) -> HotCacheStats {
-        self.hot_cache.stats()
     }
 
     /// Drains the NIC, seals any open container and flushes the cache —
@@ -819,8 +772,7 @@ impl FidrSystem {
     ///
     /// Hashing is not part of any of this: the NIC hashed each chunk as
     /// it arrived, sixteen at a time on the fastest batch kernel the host
-    /// has, and [`FidrConfig::hash_engines`] only scales the *modelled*
-    /// hash time. With [`FidrConfig::workers`] > 1 (and an inert fault
+    /// has. With [`FidrConfig::workers`] > 1 (and an inert fault
     /// plan — armed faults key off global device-call order, so they
     /// force the serial path) each group's dedup lookups run shard-owned
     /// on the persistent [`WorkerPool`] via
@@ -852,7 +804,7 @@ impl FidrSystem {
         let cost = self.cfg.cost;
         // Step 2: in-NIC hashing (no CPU, no host memory). The NIC hashed
         // most of the batch as it arrived, sixteen chunks at a time; the
-        // modelled hash time below stays here, keyed to `hash_engines`.
+        // modelled hash time below stays here.
         let chunks = self.nic.take_hash_batch(self.cfg.hash_batch);
         if chunks.is_empty() {
             return;
@@ -861,9 +813,7 @@ impl FidrSystem {
         if self.store.tracer.is_enabled() {
             let hashed: u64 = chunks.iter().map(|c| c.data.len() as u64).sum();
             self.store.tracer.attr(hash_span, "chunks", chunks.len());
-            self.store
-                .tracer
-                .advance(self.store.time.hash_ns(hashed, self.cfg.hash_engines));
+            self.store.tracer.advance(self.store.time.hash_ns(hashed));
         }
         self.store.tracer.end(hash_span);
         let host_mark = self.store.host_mark();
@@ -1084,7 +1034,7 @@ impl FidrSystem {
                         .advance(self.store.time.cycles_ns(cost.lba_map_cycles));
                 }
                 self.store.stats.duplicate_chunks += 1;
-                self.map_lba(chunk.lba, pbn);
+                self.store.map(chunk.lba, pbn);
                 self.store
                     .ledger
                     .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
@@ -1153,7 +1103,7 @@ impl FidrSystem {
             return Ok(true);
         };
         self.store.stats.duplicate_chunks += 1;
-        self.map_lba(chunk.lba, pbn);
+        self.store.map(chunk.lba, pbn);
         self.store
             .ledger
             .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
@@ -1209,7 +1159,6 @@ impl FidrSystem {
         self.store.ledger.fpga_dram_bytes += compressed.stored_len() as u64;
         self.store.stats.stored_bytes += compressed.stored_len() as u64;
 
-        self.hot_cache.invalidate(chunk.lba);
         // A full bucket costs only this chunk's dedup opportunity: it is
         // stored without a table entry, as a scrub into a full bucket
         // leaves a deferred chunk.
@@ -1374,7 +1323,7 @@ impl FidrSystem {
                         // queues for GC.
                         self.store.stats.unique_chunks -= 1;
                         self.store.stats.duplicate_chunks += 1;
-                        self.map_lba(e.lba, *p);
+                        self.store.map(e.lba, *p);
                         self.store
                             .ledger
                             .charge_cpu(CpuTask::LbaMap, cost.lba_map_cycles);
@@ -1437,12 +1386,6 @@ impl FidrSystem {
         sys.table_ssd
             .set_fault_injector(sys.faults.clone(), sys.cfg.retry);
         sys
-    }
-
-    /// Points `lba` at the already-stored chunk `pbn` (a duplicate hit).
-    fn map_lba(&mut self, lba: Lba, pbn: Pbn) {
-        self.hot_cache.invalidate(lba);
-        self.store.map(lba, pbn);
     }
 
     /// Garbage collection: reclaims the metadata of dead chunks, then
@@ -1586,11 +1529,6 @@ impl FidrSystem {
                 out.set_counter("scrub.table_full.count", ts.stats.scrub_table_full);
             }
         }
-        let hc = self.hot_cache.stats();
-        out.set_counter("hotcache.hits.count", hc.hits);
-        out.set_counter("hotcache.misses.count", hc.misses);
-        out.set_counter("hotcache.admissions.count", hc.admissions);
-        out.set_counter("hotcache.evictions.count", hc.evictions);
         out
     }
 

@@ -107,9 +107,9 @@ impl TimeModel {
         ios * self.data_ssd_io_ns + Self::ratio_ns(bytes as f64, self.data_ssd_bw)
     }
 
-    /// Hash time for `bytes` spread over `engines` parallel engines.
-    pub fn hash_ns(&self, bytes: u64, engines: usize) -> u64 {
-        Self::ratio_ns(bytes as f64, self.hash_bw * engines.max(1) as f64)
+    /// In-NIC hash time for `bytes`.
+    pub fn hash_ns(&self, bytes: u64) -> u64 {
+        Self::ratio_ns(bytes as f64, self.hash_bw)
     }
 
     /// (De)compression-engine time for `bytes`.
@@ -158,8 +158,6 @@ mod tests {
             t.table_ssd_io_ns + (4096.0 / t.table_ssd_bw * 1e9).round() as u64
         );
         assert!(t.data_ssd_ns(4096, 1) > t.table_ssd_ns(4096, 1));
-        // An engine pair halves hash time.
-        assert_eq!(t.hash_ns(8192, 2), t.hash_ns(4096, 1));
         // 250 MHz HW-tree: 4 ns per cycle.
         assert_eq!(t.hwtree_ns(25), 100);
     }
@@ -170,7 +168,7 @@ mod tests {
             hash_bw: 0.0,
             ..TimeModel::default()
         };
-        assert_eq!(t.hash_ns(4096, 1), 0);
+        assert_eq!(t.hash_ns(4096), 0);
     }
 
     #[test]
@@ -179,7 +177,7 @@ mod tests {
         // stage on cache-miss writes; sanity-check the constants keep that
         // ordering (25 µs IO ≫ µs-scale host/hash/compress work).
         let t = TimeModel::default();
-        let host_like = t.cycles_ns(12_000) + t.hash_ns(4096, 1) + t.compress_ns(4096);
+        let host_like = t.cycles_ns(12_000) + t.hash_ns(4096) + t.compress_ns(4096);
         assert!(t.table_ssd_ns(4096, 1) > 2 * host_like);
     }
 }

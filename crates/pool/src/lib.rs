@@ -5,9 +5,9 @@
 //! hashes), and the baseline's batch hashing and compression.
 //!
 //! Before this crate, every drained NIC batch spawned fresh scoped
-//! threads for hashing, dedup lookups and speculative compression —
-//! `BENCH_pr4.json` measured that per-batch spawn overhead pushing the
-//! 4-worker pipeline to a 0.94× wall-clock *slowdown*. Here the threads
+//! threads for hashing, dedup lookups and speculative compression — a
+//! per-batch spawn overhead that was measured pushing the 4-worker
+//! pipeline to a 0.94× wall-clock *slowdown*. Here the threads
 //! are spawned once, live for the life of the system, and each batch is
 //! a handful of bounded-queue pushes.
 //!

@@ -31,12 +31,6 @@ pub struct WorkloadSpec {
     /// Target compressed/original ratio of chunk payloads — the Table 3
     /// "Comp. ratio" (0.5 throughout the paper).
     pub comp_ratio: f64,
-    /// Skew of read addresses: the probability that a read targets the
-    /// small hot set instead of a uniform valid address (0.0 = the
-    /// paper's "random valid addresses").
-    pub read_skew: f64,
-    /// Size of the hot set skewed reads draw from.
-    pub hot_set: usize,
     /// Client LBA space in 4-KB blocks.
     pub lba_space: u64,
     /// RNG seed; equal seeds replay identical workloads.
@@ -60,8 +54,6 @@ impl WorkloadSpec {
             dup_near_fraction: 1.0,
             dup_window: 4_000,
             comp_ratio: 0.5,
-            read_skew: 0.0,
-            hot_set: 64,
             lba_space: 1 << 22,
             seed: 0x5eed_0001,
             content_base: 0,
@@ -78,8 +70,6 @@ impl WorkloadSpec {
             dup_near_fraction: 0.95,
             dup_window: 8_000,
             comp_ratio: 0.5,
-            read_skew: 0.0,
-            hot_set: 64,
             lba_space: 1 << 22,
             seed: 0x5eed_0002,
             content_base: 0,
@@ -96,8 +86,6 @@ impl WorkloadSpec {
             dup_near_fraction: 1.0,
             dup_window: 6_000,
             comp_ratio: 0.5,
-            read_skew: 0.0,
-            hot_set: 64,
             lba_space: 1 << 22,
             seed: 0x5eed_0003,
             content_base: 0,

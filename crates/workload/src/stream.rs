@@ -119,15 +119,9 @@ impl Workload {
     }
 
     fn next_read(&mut self) -> Request {
-        // "Reads are random valid addresses" (Table 3) — optionally
-        // skewed toward a small hot set for the §8 hot-read extension.
+        // "Reads are random valid addresses" (Table 3).
         let lba = if self.written.is_empty() {
             Lba(0)
-        } else if self.spec.read_skew > 0.0
-            && self.written.len() >= self.spec.hot_set
-            && self.rng.gen_bool(self.spec.read_skew)
-        {
-            self.written[self.rng.gen_range(0..self.spec.hot_set)]
         } else {
             self.written[self.rng.gen_range(0..self.written.len())]
         };

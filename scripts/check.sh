@@ -14,6 +14,15 @@ if grep -rnE 'ProtocolVersion|decode_versioned|with_version' \
   exit 1
 fi
 
+# The hot read cache, read-stack offload, hash engines, priority LRU and
+# the old perf snapshot script were deleted as modes no served path runs;
+# they must not creep back.
+if grep -rnE 'HotReadCache|hot_read_cache|read_stack_offload|hash_engines|PriorityLruCache|read_skew|bench_snapshot' \
+  crates src tests examples; then
+  echo "a deleted opt-in mode is back (see matches above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -417,8 +426,8 @@ echo "    $(grep 'front tier drained' "$CLUSTER_DIR/front.log")"
 # count now hashes with the same kernel, so wall_speedup_4x measures
 # threading alone. The 1.2x threshold was calibrated when the 1-worker
 # arm still hashed on the scalar core and the 4-worker arm on the lane
-# kernel (>= 1.5x in BENCH_pr6.json, 0.94x pre-pool in BENCH_pr4.json),
-# i.e. it included a ~4x hashing advantage that is gone: it is pending
+# kernel (>= 1.5x then, 0.94x before the persistent pool), i.e. it
+# included a ~4x hashing advantage that is gone: it is pending
 # re-measurement on a >= 4-CPU host (none was available when the
 # kernels were unified; a 2-CPU host shows 0.87x with hash_kernel=sha-ni)
 # and may need lowering. The gate auto-skips when the host exposes fewer

@@ -225,7 +225,7 @@ impl RunReport {
         time.host_ns(l)
             + time.table_ssd_ns(table_bytes, table_ios)
             + time.data_ssd_ns(data_bytes, self.reduction.containers_sealed)
-            + time.hash_ns(l.client_bytes(), 1)
+            + time.hash_ns(l.client_bytes())
             + time.compress_ns(self.reduction.unique_chunks * 4096)
             + time.nic_ns(l.client_bytes())
     }

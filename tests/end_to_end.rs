@@ -231,3 +231,28 @@ fn compress_output_bytes_are_pinned() {
         packed.len()
     );
 }
+
+/// The workload generator's request streams feed every seeded export,
+/// figure and cross-architecture test. This pins one FNV-1a digest over
+/// op kind, LBA and payload of every `WorkloadSpec` preset, so a change
+/// that moves a single RNG draw fails here by name.
+#[test]
+fn workload_request_streams_are_pinned() {
+    let extensions = [
+        WorkloadSpec::vdi(600),
+        WorkloadSpec::database(600),
+        WorkloadSpec::overwrite_churn(600),
+    ];
+    let streams = WorkloadSpec::table3(600).into_iter().chain(extensions);
+    let mut packed = Vec::new();
+    for req in streams.flat_map(Workload::new) {
+        let (kind, lba, data) = match req {
+            Request::Write { lba, data } => (b'W', lba, data),
+            Request::Read { lba } => (b'R', lba, Bytes::new()),
+        };
+        packed.push(kind);
+        packed.extend(lba.0.to_le_bytes());
+        packed.extend(&data[..]);
+    }
+    assert_eq!(fidr::hash::fnv1a(&packed), 0xa9bd_d71e_0025_0298);
+}

@@ -57,7 +57,6 @@ proptest! {
             container_threshold: 16 << 10,
             hash_batch: 4,
             cache_mode: CacheMode::HwEngine { update_slots: 4 },
-            hot_read_cache_chunks: 4,
             ..FidrConfig::default()
         });
         let mut model: HashMap<u64, u64> = HashMap::new();
